@@ -16,6 +16,7 @@ from .bounds import (
     d_nord,
     delta,
     n_set,
+    n_set_size,
     abc_decomposition,
     lemma62_diagnostic,
     bound_table,
@@ -38,6 +39,7 @@ __all__ = [
     "d_nord",
     "delta",
     "n_set",
+    "n_set_size",
     "abc_decomposition",
     "lemma62_diagnostic",
     "bound_table",

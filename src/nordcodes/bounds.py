@@ -5,7 +5,9 @@ Sigma(s), the sets N_r^m, the bound d_nord, the Goppa bound, their difference
 delta, the A/B/C decomposition of N_r^m and a diagnostic that compares the
 closed formula d_nord = l + 2 - genus + #A against direct enumeration.
 
-Direct enumeration is normative; closed formulas are cross-checks only.
+d_nord, delta and bound_table count #N_r^m with n_set_size, in O(genus) per
+set; n_set lists the pairs themselves and is the reference the count is
+tested against.
 """
 
 from __future__ import annotations
@@ -14,10 +16,15 @@ import csv
 import io
 from dataclasses import dataclass
 
-from .errors import HypothesisNotMet, MBelowLambda
+from .errors import HypothesisNotMet, MBelowLambda, NegativeEll
 from .semigroup import GoodBasisProfile
 
 CSV_HEADER = ["ell", "m", "n_set_size", "d_nord", "d_goppa", "delta"]
+
+
+def _require_ell(ell: int):
+    if ell < 0:
+        raise NegativeEll(f"ell = {ell} < 0")
 
 
 def _require_m(profile: GoodBasisProfile, m: int):
@@ -27,7 +34,10 @@ def _require_m(profile: GoodBasisProfile, m: int):
 
 def capital_sigma(profile: GoodBasisProfile, s: int) -> int:
     """Sigma(s) = max of sigma(f_0..f_s); nondecreasing in s."""
-    return max((v for i, v in profile.entries if i <= s), default=0)
+    if s < 0:
+        return 0
+    prefix = profile.sigma_prefix
+    return prefix[min(s, len(prefix) - 1)]
 
 
 @dataclass(frozen=True)
@@ -42,6 +52,7 @@ class NSet:
 
 def n_set(profile: GoodBasisProfile, r: int, m: int) -> NSet:
     """Pairs (i, j) with i + j = r + 1 and sigma(f_i) + Sigma(j) <= m."""
+    _require_ell(r)
     _require_m(profile, m)
     pairs = tuple(
         (i, r + 1 - i)
@@ -51,10 +62,35 @@ def n_set(profile: GoodBasisProfile, r: int, m: int) -> NSet:
     return NSet(r, m, pairs)
 
 
+def n_set_size(profile: GoodBasisProfile, r: int, m: int) -> int:
+    """#N_r^m in O(genus), by counting the pairs that fail.
+
+    Of the r + 2 pairs (i, r + 1 - i), the end i = 0 always qualifies since
+    sigma(f_0) = 0 and Sigma(r + 1) <= lambda_sigma <= m, and so does the end
+    i = r + 1 since Sigma(0) = 0.  Every nongap i qualifies as well, because
+    sigma(f_i) = 0 there.  Only a gap i in [1, r] can fail, so
+
+        #N_r^m = (r + 2) - #{gap i <= r : sigma(f_i) + Sigma(r + 1 - i) > m}.
+    """
+    _require_ell(r)
+    _require_m(profile, m)
+    prefix = profile.sigma_prefix
+    top = len(prefix) - 1
+    failing = 0
+    for i, v in profile.entries:  # sorted by i
+        if i > r:
+            break
+        j = r + 1 - i
+        if v + prefix[j if j < top else top] > m:
+            failing += 1
+    return r + 2 - failing
+
+
 def d_nord(profile: GoodBasisProfile, ell: int, m: int) -> int:
     """min #N_r^m over r >= ell; the window r in [ell, ell+genus] suffices."""
+    _require_ell(ell)
     _require_m(profile, m)
-    return min(len(n_set(profile, r, m)) for r in range(ell, ell + profile.genus + 1))
+    return min(n_set_size(profile, r, m) for r in range(ell, ell + profile.genus + 1))
 
 
 def d_goppa(ell: int, m: int, genus: int) -> int:
@@ -63,7 +99,6 @@ def d_goppa(ell: int, m: int, genus: int) -> int:
 
 
 def delta(profile: GoodBasisProfile, ell: int, m: int) -> int:
-    _require_m(profile, m)
     return d_nord(profile, ell, m) - d_goppa(ell, m, profile.genus)
 
 
@@ -98,6 +133,7 @@ def lemma62_diagnostic(profile: GoodBasisProfile, ell: int, m: int) -> dict:
     Reports AGREE or DISAGREE; never asserts either side as ground truth.
     Requires lambda_sigma <= m < 2*lambda_sigma and ell >= lambda_rho + s - 1.
     """
+    _require_ell(ell)
     lam = profile.lambda_sigma
     if not (lam <= m < 2 * lam):
         raise HypothesisNotMet(f"need lambda_sigma <= m < 2*lambda_sigma, got m={m}, lambda_sigma={lam}")
@@ -132,8 +168,7 @@ def bound_table(profile: GoodBasisProfile, ell_range, m_range) -> list[tuple]:
     rows = []
     for ell in ell_range:
         for m in m_range:
-            _require_m(profile, m)
-            nsz = len(n_set(profile, ell, m))
+            nsz = n_set_size(profile, ell, m)
             dn = d_nord(profile, ell, m)
             dg = d_goppa(ell, m, profile.genus)
             rows.append((ell, m, nsz, dn, dg, dn - dg))

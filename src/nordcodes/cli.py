@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import bounds, codes, models
@@ -243,15 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # NORD_THREADS caps worker parallelism; evaluation is single-process and
-    # deterministic, so any value yields identical output.
-    threads = os.environ.get("NORD_THREADS")
-    if threads is not None:
-        try:
-            int(threads)
-        except ValueError:
-            print("invalid NORD_THREADS", file=sys.stderr)
-            return 2
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

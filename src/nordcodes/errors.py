@@ -49,8 +49,16 @@ class ProfileBijectionViolation(NordError):
     pass
 
 
+class SemigroupTooLarge(NordError):
+    pass
+
+
 # bound_engine
 class MBelowLambda(NordError):
+    pass
+
+
+class NegativeEll(NordError):
     pass
 
 

@@ -16,12 +16,33 @@ from .errors import (
     ClosureViolation,
     NotCoprime,
     ProfileBijectionViolation,
+    SemigroupTooLarge,
     ZeroExcludedViolation,
 )
 
 
 # ---------------------------------------------------------------------------
 # numerical semigroups
+
+
+MAX_LARGEST_GAP = 1 << 20  # admits <1000, 1001>, whose largest gap is 998999
+
+
+def _require_size(largest_gap: int):
+    """Refuse a semigroup whose tables would need more than the cap."""
+    if largest_gap > MAX_LARGEST_GAP:
+        raise SemigroupTooLarge(
+            f"largest gap can reach {largest_gap}, above the cap {MAX_LARGEST_GAP}"
+        )
+
+
+def _set_bits(v: int):
+    """Positions of the set bits of v >= 0, ascending."""
+    bits = bin(v)[:1:-1]
+    i = bits.find("1")
+    while i >= 0:
+        yield i
+        i = bits.find("1", i + 1)
 
 
 @dataclass(frozen=True)
@@ -32,12 +53,29 @@ class NumericalSemigroup:
         if 0 in self.gaps or any(g < 0 for g in self.gaps):
             raise ZeroExcludedViolation("gaps must be positive integers")
         lam = self.largest_gap
-        for x in range(1, lam + 1):
-            if x in self.gaps:
-                continue
-            for y in range(x, lam + 1 - x):
-                if y not in self.gaps and (x + y) in self.gaps:
-                    raise ClosureViolation(x, y, x + y)
+        _require_size(lam)
+        # Closure through the Apery set of the multiplicity m1: S is closed
+        # iff S + m1 lies in S and w + w' lies in S for all Apery elements
+        # w, w' (the least element of S in each class mod m1).  Sums above
+        # lam always lie in S, so only x = m1 and Apery x up to lam / 2 need
+        # testing.  `gaps` and `nongaps` are bit sets of [0, lam]; one shift
+        # tests x + y for every nongap y at once, so the check costs O(lam)
+        # plus one lam-bit shift for each of at most m1 values of x.
+        buf = bytearray(lam // 8 + 1)
+        for g in self.gaps:
+            buf[g >> 3] |= 1 << (g & 7)
+        gaps = int.from_bytes(buf, "little")
+        nongaps = gaps ^ ((1 << (lam + 1)) - 1)
+        positive = nongaps >> 1
+        m1 = (positive & -positive).bit_length() or lam + 1
+        apery = nongaps & (gaps << m1)  # the Apery elements in [1, lam]
+        for x in _set_bits(apery | (1 << m1)):
+            if 2 * x > lam:
+                break
+            hit = (nongaps << x) & gaps
+            if hit:
+                total = (hit & -hit).bit_length() - 1
+                raise ClosureViolation(x, total - x, total)
 
     @property
     def genus(self) -> int:
@@ -81,14 +119,18 @@ def ns_from_generators(gens: list[int]) -> NumericalSemigroup:
     if not gens:
         raise NotCoprime("need at least one positive generator")
     g = 0
-    for x in gens:
+    for k, x in enumerate(gens):
         g = gcd(g, x)
+        if g == 1:
+            break
     if g != 1:
         raise NotCoprime(f"gcd of generators is {g}, not 1")
     if gens[0] == 1:
         return NumericalSemigroup(frozenset())
-    # Frobenius number is below (a-1)(b-1) for any coprime pair; reach up there
-    bound = (gens[0] - 1) * (gens[-1] - 1) + max(gens)
+    # Schur: a coprime subset a < ... < b puts every gap below (a-1)(b-1);
+    # the shortest coprime prefix gives the tightest such bound
+    bound = (gens[0] - 1) * (gens[k] - 1)
+    _require_size(bound - 1)
     reachable = [False] * (bound + 1)
     reachable[0] = True
     for n in range(1, bound + 1):
@@ -184,9 +226,18 @@ class GoodBasisProfile:
     genus: int
     entries: tuple[tuple[int, int], ...]  # sorted (i, sigma(f_i)) pairs
     _map: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
+    # Sigma(s) = max sigma(f_0..f_s) for s = 0..lambda_rho; lambda_sigma beyond
+    sigma_prefix: tuple = field(init=False, repr=False, compare=False, hash=False, default=())
 
     def __post_init__(self):
         object.__setattr__(self, "_map", dict(self.entries))
+        top = max(self.lambda_rho, 0)
+        _require_size(top)
+        prefix, run = [], 0
+        for s in range(top + 1):
+            run = max(run, self._map.get(s, 0))
+            prefix.append(run)
+        object.__setattr__(self, "sigma_prefix", tuple(prefix))
 
     @classmethod
     def from_entries(cls, entries: dict[int, int]) -> "GoodBasisProfile":
@@ -202,7 +253,7 @@ class GoodBasisProfile:
 
     @property
     def lambda_sigma(self) -> int:
-        return max((v for _, v in self.entries), default=0)
+        return self.sigma_prefix[-1]
 
     @property
     def lambda_rho(self) -> int:

@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nordcodes import bounds
-from nordcodes.errors import HypothesisNotMet, MBelowLambda
-from nordcodes.semigroup import GoodBasisProfile, hyperelliptic_profile
+from nordcodes.errors import HypothesisNotMet, MBelowLambda, NegativeEll
+from nordcodes.hermitian import HermitianCurve
+from nordcodes.semigroup import GoodBasisProfile, hyperelliptic_profile, ns_from_generators
 
 HYPER2 = hyperelliptic_profile(2)
 HYPER1 = hyperelliptic_profile(1)
@@ -17,6 +18,26 @@ def d_nord_oracle(profile, ell, m, window=50):
         len(bounds.n_set(profile, r, m))
         for r in range(ell, ell + profile.genus + window + 1)
     )
+
+
+def _gap_bijections(gens):
+    """Profiles mapping the gaps of <gens> onto themselves in random order."""
+    gaps = sorted(ns_from_generators(gens).gaps)
+    return st.permutations(gaps).map(lambda vals: GoodBasisProfile.from_entries(dict(zip(gaps, vals))))
+
+
+PROFILES = st.one_of(
+    *(_gap_bijections(gens) for gens in ([3, 5], [4, 7], [5, 6, 7])),
+    st.sampled_from(
+        [hyperelliptic_profile(g) for g in (1, 2, 3, 6)]
+        + [HermitianCurve(q).profile_closed_form() for q in (2, 3, 4, 5)]
+    ),
+)
+
+
+def capital_sigma_scan(profile, s):
+    """Sigma(s) by rescanning the profile, as before the prefix array."""
+    return max((v for i, v in profile.entries if i <= s), default=0)
 
 
 def test_capital_sigma():
@@ -36,6 +57,49 @@ def test_n_set_examples():
     assert ns0.pairs == ((0, 1), (1, 0))
     with pytest.raises(MBelowLambda):
         bounds.n_set(HYPER2, 2, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(profile=PROFILES, data=st.data())
+def test_n_set_size_matches_enumeration(profile, data):
+    r = data.draw(st.integers(0, 3 * profile.lambda_rho), label="r")
+    m = data.draw(st.integers(profile.lambda_sigma, 2 * profile.lambda_sigma + 4), label="m")
+    assert bounds.n_set_size(profile, r, m) == len(bounds.n_set(profile, r, m))
+
+
+@settings(max_examples=100, deadline=None)
+@given(profile=PROFILES, data=st.data())
+def test_capital_sigma_matches_scan(profile, data):
+    s = data.draw(st.integers(-2, profile.lambda_rho + 3), label="s")
+    assert bounds.capital_sigma(profile, s) == capital_sigma_scan(profile, s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(profile=PROFILES, data=st.data())
+def test_d_nord_matches_extended_window(profile, data):
+    ell = data.draw(st.integers(0, 3 * profile.lambda_rho), label="ell")
+    m = data.draw(st.integers(profile.lambda_sigma, 2 * profile.lambda_sigma + 4), label="m")
+    assert bounds.d_nord(profile, ell, m) == d_nord_oracle(profile, ell, m)
+
+
+def test_d_nord_huge_ell():
+    # below 2*lambda_sigma the gap i = 2 never qualifies; at it, every pair does
+    assert bounds.d_nord(HYPER2, 10**9, 3) == 10**9 + 1
+    assert bounds.d_nord(HYPER2, 10**9, 4) == 10**9 + 2
+
+
+def test_negative_ell_rejected():
+    calls = [
+        lambda: bounds.n_set(HYPER2, -1, 3),
+        lambda: bounds.n_set_size(HYPER2, -1, 3),
+        lambda: bounds.d_nord(HYPER2, -5, 3),
+        lambda: bounds.delta(HYPER2, -5, 3),
+        lambda: bounds.bound_table(HYPER2, range(-1, 2), [3]),
+        lambda: bounds.lemma62_diagnostic(EMPTY, -1, 0),
+    ]
+    for call in calls:
+        with pytest.raises(NegativeEll):
+            call()
 
 
 def test_n_set_monotone_structure():

@@ -152,6 +152,17 @@ def test_axioms_laurent(capsys):
     assert "FAIL" in (results["O3"], results["O4"])
 
 
+def test_negative_ell(hyper2_profile, capsys):
+    code, out, err = run(capsys, "bound", "--profile", hyper2_profile, "--ell", "-5", "--m", "3")
+    assert code == 1 and out == "" and err.startswith("error NegativeEll:")
+
+
+def test_semigroup_too_large(capsys):
+    # refused from the generators alone, before any table is built
+    code, out, err = run(capsys, "semigroup", "--generators", "100000,100001")
+    assert code == 1 and out == "" and err.startswith("error SemigroupTooLarge:")
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "nonsense")[0] == 2
     assert run(capsys, "bound", "--profile", "x.json")[0] == 2  # missing --ell/--m
@@ -177,9 +188,6 @@ def test_byte_reproducible(hyper2_profile, capsys, monkeypatch):
         assert code == 0
         outs.append(out)
     assert len(set(outs)) == 1
-
-    monkeypatch.setenv("NORD_THREADS", "soup")
-    assert run(capsys, *argv)[0] == 2
 
 
 def test_reproducible_json_outputs(capsys):

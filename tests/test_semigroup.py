@@ -1,13 +1,18 @@
+from functools import reduce
+from math import gcd
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nordcodes.errors import (
     ClosureViolation,
     NotCoprime,
     ProfileBijectionViolation,
+    SemigroupTooLarge,
     ZeroExcludedViolation,
 )
 from nordcodes.semigroup import (
+    MAX_LARGEST_GAP,
     GoodBasisProfile,
     NumericalSemigroup,
     TwoPointSemigroup,
@@ -48,9 +53,6 @@ def test_queries():
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(2, 15), min_size=2, max_size=4))
 def test_generators_match_oracle(gens):
-    from math import gcd
-    from functools import reduce
-
     if reduce(gcd, gens) != 1:
         with pytest.raises(NotCoprime):
             ns_from_generators(gens)
@@ -70,6 +72,66 @@ def test_closure_violation_detected():
         NumericalSemigroup(frozenset({4}))  # 2 + 2 = 4 with 2 a nongap
     with pytest.raises(ZeroExcludedViolation):
         NumericalSemigroup(frozenset({0, 1}))
+
+
+def closure_witness_oracle(gaps):
+    """The O(lambda^2) double loop: the first nongaps x <= y summing to a gap."""
+    lam = max(gaps, default=0)
+    for x in range(1, lam + 1):
+        if x in gaps:
+            continue
+        for y in range(x, lam + 1 - x):
+            if y not in gaps and (x + y) in gaps:
+                return (x, y, x + y)
+    return None
+
+
+@st.composite
+def perturbed_semigroups(draw):
+    """Gap sets of small semigroups with a few entries toggled (maybe none)."""
+    gens = draw(st.lists(st.integers(2, 12), min_size=2, max_size=3))
+    g = reduce(gcd, gens)
+    if g != 1:
+        gens.append(g + 1)
+    gaps = ns_from_generators(gens).gaps
+    flips = draw(st.frozensets(st.integers(1, max(gaps, default=0) + 3), max_size=3))
+    return frozenset(gaps ^ flips)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.frozensets(st.integers(1, 24), max_size=14), perturbed_semigroups()))
+@example(frozenset({1, 2, 5, 8, 11}))  # 4 + 4 = 8: only the Apery shift by 4 sees it
+@example(frozenset({1, 3, 4, 5, 7, 9}))  # 2 + 2 = 4: the shift by m1 = 2 sees it
+@example(ns_from_generators([7, 9, 11]).gaps)
+def test_closure_check_matches_double_loop(gaps):
+    expected = closure_witness_oracle(gaps)
+    try:
+        NumericalSemigroup(gaps)
+    except ClosureViolation as exc:
+        assert expected is not None
+        x, y, total = exc.witness
+        assert x > 0 and y > 0 and x + y == total
+        assert x not in gaps and y not in gaps and total in gaps
+    else:
+        assert expected is None
+
+
+def test_size_cap():
+    # every input here is refused before any table of its size is built
+    with pytest.raises(SemigroupTooLarge):
+        ns_from_generators([100000, 100001])
+    with pytest.raises(SemigroupTooLarge):
+        NumericalSemigroup(frozenset({1, MAX_LARGEST_GAP + 1}))
+    with pytest.raises(SemigroupTooLarge):
+        GoodBasisProfile.from_entries({10**12: 1})
+    # the shortest coprime prefix bounds the gaps, not the largest generator
+    assert ns_from_generators([3, 5, 10**9]).gaps == {1, 2, 4, 7}
+
+
+def test_cap_admits_1000_1001():
+    S = ns_from_generators([1000, 1001])
+    assert S.largest_gap == 1000 * 1001 - 1000 - 1001
+    assert S.genus == 999 * 1000 // 2
 
 
 # -- two-point semigroups ---------------------------------------------------
