@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from . import bounds, codes, models
+from . import bounds, codes
 from .errors import NordError
 from .field import make_field
 from .hermitian import HermitianCurve
@@ -21,6 +21,13 @@ from .semigroup import (
     hyperelliptic_profile,
     ns_from_generators,
 )
+
+
+def _parse_int_list(text: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text}")
 
 
 def _parse_range(text: str) -> range:
@@ -44,8 +51,8 @@ def _emit(args, text: str):
 
 
 def _load_profile(path: str) -> GoodBasisProfile:
-    with open(path) as fh:
-        return GoodBasisProfile.from_json(json.load(fh))
+    with open(path, "rb") as fh:
+        return GoodBasisProfile.from_json(fh.read())
 
 
 # -- subcommand handlers ----------------------------------------------------
@@ -53,8 +60,7 @@ def _load_profile(path: str) -> GoodBasisProfile:
 
 def _cmd_semigroup(args) -> int:
     if args.generators:
-        gens = [int(x) for x in args.generators.split(",")]
-        out = ns_from_generators(gens).to_json()
+        out = ns_from_generators(args.generators).to_json()
     elif args.curve_q:
         out = HermitianCurve(args.curve_q).two_point_semigroup().to_json()
     else:
@@ -161,6 +167,8 @@ def _cmd_code(args) -> int:
 
 
 def _cmd_axioms(args) -> int:
+    from . import models  # the only command that needs numpy
+
     field = make_field(args.p, args.k)
     if args.model == "constant":
         model = models.model_constant(field, args.c)
@@ -187,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("semigroup", help="emit a semigroup gap set as JSON")
     src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--generators", help="comma-separated generators")
+    src.add_argument("--generators", type=_parse_int_list, help="comma-separated generators")
     src.add_argument("--curve-q", type=int, help="two-point semigroup of the Hermitian curve")
     src.add_argument("--from-file", help="re-validate a semigroup JSON file")
     p.add_argument("--out")

@@ -4,6 +4,12 @@ brute-force ground truth for the minimum distance.
 The evaluation support is every affine point of the curve except the base
 point (0, 0), in lexicographic (x-index, y-index) order, so n = q^3 - 1 and
 all matrices are bit-reproducible.
+
+Per-curve caches live on the HermitianCurve instance (`_cache`) and last as
+long as it does: the evaluation points and the closed-form profile; the
+image vector of each monomial x^a y^b, keyed on (a, b) and shared by
+`evaluation_matrix` and the good-basis images h_t of `basis_images`, kept in
+order of t; and `saturation_index`, keyed on m.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import bounds, linalg
 from .errors import (
@@ -23,6 +30,29 @@ from .field import Field
 from .hermitian import HermitianCurve
 
 _BRUTE_FORCE_CAP = 1 << 24
+_BLOCK = 1 << 10  # most codewords held at once by an enumeration
+
+
+def _span(field: Field, rows, start):
+    """start + sum c_i rows[i] for every c in GF(q)^len(rows), c in
+    lexicographic order, as fresh lists.  The combinations of the last t
+    rows, q^t <= _BLOCK, are built once as a block; each message of the
+    leading rows then adds its own combination to every block word."""
+    q, n = field.q, len(start)
+    t = 0
+    while t < len(rows) and q ** (t + 1) <= _BLOCK:
+        t += 1
+    head, tail = rows[: len(rows) - t], rows[len(rows) - t :]
+    block = [[0] * n]
+    for row in tail:
+        block = [field.add_scaled_row(w, c, row) for w in block for c in range(q)]
+    for msg in itertools.product(range(q), repeat=len(head)):
+        base = start
+        for c, row in zip(msg, head):
+            if c:
+                base = field.add_scaled_row(base, c, row)
+        for w in block:
+            yield field.add_scaled_row(base, 1, w)
 
 
 @dataclass(frozen=True)
@@ -44,34 +74,36 @@ class LinearCode:
         null = linalg.nullspace([list(r) for r in self.generator], self.field, self.n)
         return LinearCode.from_rows(null, self.field, self.n)
 
+    @cached_property
+    def pivots(self) -> tuple[int, ...]:
+        """Pivot column of each generator row."""
+        return tuple(next(c for c, v in enumerate(row) if v) for row in self.generator)
+
     def contains(self, word) -> bool:
-        aug = [list(r) for r in self.generator] + [list(word)]
-        return linalg.rank(aug, self.field) == self.k
+        return not any(linalg.reduce(word, self.generator, self.pivots, self.field))
 
     def codewords(self):
         """All codewords, message-lexicographic order; includes zero."""
-        F = self.field
-        for msg in itertools.product(range(F.q), repeat=self.k):
-            word = [0] * self.n
-            for coef, row in zip(msg, self.generator):
-                if coef:
-                    for c in range(self.n):
-                        word[c] = F.add(word[c], F.mul(coef, row[c]))
+        for word in _span(self.field, self.generator, (0,) * self.n):
             yield tuple(word)
 
     def min_distance_bruteforce(self) -> int | None:
-        """Minimum Hamming weight over all nonzero codewords; None if k = 0."""
+        """Minimum Hamming weight over all nonzero codewords; None if k = 0.
+        Scaling a word keeps its weight, so only the (q^k - 1) / (q - 1)
+        messages whose leading nonzero coefficient is 1 are enumerated."""
         if self.k == 0:
             return None
         if self.field.q**self.k > _BRUTE_FORCE_CAP:
             raise SearchTooLarge(f"{self.field.q}^{self.k} messages exceed the cap")
-        best = self.n + 1
-        for word in self.codewords():
-            wt = sum(1 for v in word if v)
-            if 0 < wt < best:
-                best = wt
-                if best == 1:
-                    break
+        n, rows = self.n, self.generator
+        best = n + 1
+        for i, lead in enumerate(rows):
+            for word in _span(self.field, rows[i + 1 :], lead):
+                wt = n - word.count(0)
+                if wt < best:
+                    best = wt
+                    if best == 1:
+                        return best
         return best
 
     def to_json(self) -> dict:
@@ -88,30 +120,52 @@ class LinearCode:
 # curve codes
 
 
+class _CurveCache:
+    def __init__(self, curve: HermitianCurve):
+        self.points = sorted(p for p in curve.points if p != (0, 0))
+        self.profile = curve.profile_closed_form()
+        self.images: dict[tuple[int, int], tuple[int, ...]] = {}
+        self.basis: list[tuple[int, ...]] = []  # h_0, h_1, ...
+        self.saturation: dict[int, int] = {}
+
+
+def _cache(curve: HermitianCurve) -> _CurveCache:
+    cache = vars(curve).get("_codes_cache")
+    if cache is None:
+        cache = curve._codes_cache = _CurveCache(curve)
+    return cache
+
+
+def _image(curve: HermitianCurve, key: tuple[int, int]) -> tuple[int, ...]:
+    """Values of the monomial x^a y^b, key = (a, b), at the evaluation points;
+    y != 0 at each of them, so a negative b is a power of 1/y."""
+    cache = _cache(curve)
+    img = cache.images.get(key)
+    if img is None:
+        F, (a, b) = curve.field, key
+        img = cache.images[key] = tuple(F.mul(F.pow(x, a), F.pow(y, b)) for x, y in cache.points)
+    return img
+
+
 def evaluation_points(curve: HermitianCurve) -> list[tuple[int, int]]:
     """All affine points except the base point (0, 0), lexicographic order."""
-    return sorted(p for p in curve.points if p != (0, 0))
+    return list(_cache(curve).points)
 
 
 def _check_m(curve: HermitianCurve, m: int):
-    lam = curve.profile_closed_form().lambda_sigma
+    lam = _cache(curve).profile.lambda_sigma
     if m < lam:
         raise MBelowLambda(f"m = {m} < lambda_sigma = {lam}")
 
 
 def evaluation_matrix(curve: HermitianCurve, ell: int, m: int) -> list[list[int]]:
-    pts = evaluation_points(curve)
-    rows = []
-    for a, b in curve.riemann_roch_basis(ell, m):
-        f = curve.monomial(a, b)
-        rows.append([f.evaluate(p) for p in pts])
-    return rows
+    return [list(_image(curve, key)) for key in curve.riemann_roch_basis(ell, m)]
 
 
 def build_E(curve: HermitianCurve, ell: int, m: int) -> LinearCode:
     _check_m(curve, m)
-    pts = evaluation_points(curve)
-    return LinearCode.from_rows(evaluation_matrix(curve, ell, m), curve.field, len(pts))
+    n = len(_cache(curve).points)
+    return LinearCode.from_rows(evaluation_matrix(curve, ell, m), curve.field, n)
 
 
 def build_C(curve: HermitianCurve, ell: int, m: int) -> LinearCode:
@@ -120,14 +174,30 @@ def build_C(curve: HermitianCurve, ell: int, m: int) -> LinearCode:
 
 
 def saturation_index(curve: HermitianCurve, m: int) -> int:
-    """Least L with E_L^m = the full space F^n."""
+    """Least L with E_L^m = the full space F^n.  E_ell^m grows with ell, so
+    one echelon basis takes in the new monomials of each ell in turn."""
     _check_m(curve, m)
-    n = len(evaluation_points(curve))
-    cap = n + 2 * curve.genus + 1
-    for ell in range(cap + 1):
-        if linalg.rank(evaluation_matrix(curve, ell, m), curve.field) == n:
-            return ell
-    raise SaturationNotReached(f"rank never reached {n} up to ell = {cap}")
+    cache = _cache(curve)
+    if m not in cache.saturation:
+        F, n = curve.field, len(cache.points)
+        cap = n + 2 * curve.genus + 1
+        rows, pivots, seen = [], [], set()
+        for ell in range(cap + 1):
+            for key in curve.riemann_roch_basis(ell, m):
+                if key in seen:
+                    continue
+                seen.add(key)
+                v = linalg.reduce(_image(curve, key), rows, pivots, F)
+                pc = next((c for c, x in enumerate(v) if x), None)
+                if pc is not None:
+                    rows.append(F.scale_row(F.inv(v[pc]), v))
+                    pivots.append(pc)
+            if len(rows) == n:
+                cache.saturation[m] = ell
+                break
+        else:
+            raise SaturationNotReached(f"rank never reached {n} up to ell = {cap}")
+    return cache.saturation[m]
 
 
 # ---------------------------------------------------------------------------
@@ -145,26 +215,19 @@ class SyndromeMatrix:
 
 def basis_images(curve: HermitianCurve, count: int) -> list[list[int]]:
     """h_t = evaluation of the canonical good-basis function f_t, t = 0..count-1."""
-    pts = evaluation_points(curve)
-    return [
-        [curve.good_basis_function(t).evaluate(p) for p in pts] for t in range(count)
-    ]
+    basis = _cache(curve).basis
+    for t in range(len(basis), count):
+        ((key, _),) = curve.good_basis_function(t).support  # a monomial
+        basis.append(_image(curve, key))
+    return [list(h) for h in basis[:count]]
 
 
 def syndrome_matrix(curve: HermitianCurve, m: int, word, L: int) -> SyndromeMatrix:
     F = curve.field
     h = basis_images(curve, L + 1)
-    n = len(word)
-    entries = []
-    for i in range(L + 1):
-        row = []
-        for j in range(L + 1):
-            total = 0
-            for c in range(n):
-                total = F.add(total, F.mul(F.mul(h[i][c], h[j][c]), word[c]))
-            row.append(total)
-        entries.append(tuple(row))
-    return SyndromeMatrix(tuple(entries), tuple(word))
+    hy = [[F.mul(a, b) for a, b in zip(h_j, word)] for h_j in h]  # h_j o y
+    entries = tuple(tuple(F.dot(h_i, hy_j) for hy_j in hy) for h_i in h)
+    return SyndromeMatrix(entries, tuple(word))
 
 
 def layer_membership(curve: HermitianCurve, ell: int, m: int, word) -> tuple[bool, bool]:
@@ -172,10 +235,7 @@ def layer_membership(curve: HermitianCurve, ell: int, m: int, word) -> tuple[boo
     F = curve.field
 
     def orthogonal(l):
-        return all(
-            linalg.mat_vec_dot(row, word, F) == 0
-            for row in evaluation_matrix(curve, l, m)
-        )
+        return all(F.dot(row, word) == 0 for row in evaluation_matrix(curve, l, m))
 
     return orthogonal(ell), orthogonal(ell + 1)
 
@@ -187,8 +247,7 @@ def verify_prop63(curve: HermitianCurve, ell: int, m: int, word) -> dict:
     in_l, in_l1 = layer_membership(curve, ell, m, word)
     if not in_l or in_l1:
         raise WordNotInLayer(f"word not in C_{ell}^{m} \\ C_{ell + 1}^{m}")
-    profile = curve.profile_closed_form()
-    nset = bounds.n_set(profile, ell, m)
+    nset = bounds.n_set(_cache(curve).profile, ell, m)
     L = saturation_index(curve, m)
     S = syndrome_matrix(curve, m, word, L)
     zero_ok = True
@@ -225,8 +284,7 @@ def verify_thm61(curve: HermitianCurve, ell: int, m: int) -> dict:
     _check_m(curve, m)
     code = build_C(curve, ell, m)
     d_true = code.min_distance_bruteforce()
-    profile = curve.profile_closed_form()
-    dn = bounds.d_nord(profile, ell, m)
+    dn = bounds.d_nord(_cache(curve).profile, ell, m)
     dg = bounds.d_goppa(ell, m, curve.genus)
     ok = d_true is None or d_true >= dn
     return {

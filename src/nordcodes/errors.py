@@ -53,6 +53,10 @@ class SemigroupTooLarge(NordError):
     pass
 
 
+class MalformedProfile(NordError):
+    pass
+
+
 # bound_engine
 class MBelowLambda(NordError):
     pass

@@ -2,9 +2,13 @@
 
 Elements are encoded by an integer index in [0, q): the base-p digits of the
 index, little-endian, are the coefficients of the residue polynomial modulo
-the field's irreducible modulus.  Multiplication and inversion run through
-exp/log tables w.r.t. a fixed generator; addition uses a full q x q table for
-small fields and digitwise arithmetic otherwise.
+the field's irreducible modulus.  Inversion and powers run through exp/log
+tables w.r.t. a fixed generator.  For q <= _ADD_TABLE_LIMIT, addition,
+multiplication and negation are lookups in full tables built once per field;
+larger fields multiply through exp/log and add digitwise.
+
+Vectors are lists of indices.  `Field.scale_row`, `Field.add_scaled_row` and
+`Field.dot` are the whole-row operations that `linalg` and `codes` run on.
 """
 
 from __future__ import annotations
@@ -144,14 +148,7 @@ class Field:
         return self.from_coeffs(prod)
 
     def _build_tables(self):
-        p, q = self.p, self.q
-        # additive table (small fields) -- fall back to digit arithmetic
-        if q <= _ADD_TABLE_LIMIT:
-            self._add = [
-                [self._digit_add(a, b) for b in range(q)] for a in range(q)
-            ]
-        else:
-            self._add = None
+        q = self.q
         # find a multiplicative generator, build exp/log tables
         self._exp = None
         self._log = None
@@ -177,6 +174,12 @@ class Field:
                     break
         else:
             self.generator = 1
+        # full add/mul/neg tables (small fields) -- else digit and exp/log arithmetic
+        self._add = self._mul = self._neg = None
+        if q <= _ADD_TABLE_LIMIT:
+            self._add = [[self._digit_add(a, b) for b in range(q)] for a in range(q)]
+            self._mul = [[self._log_mul(a, b) for b in range(q)] for a in range(q)]
+            self._neg = [self._digit_neg(a) for a in range(q)]
 
     def _digit_add(self, a: int, b: int) -> int:
         p = self.p
@@ -188,14 +191,7 @@ class Field:
             mult *= p
         return out
 
-    # -- arithmetic on indices -------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        if self._add is not None:
-            return self._add[a][b]
-        return self._digit_add(a, b)
-
-    def neg(self, a: int) -> int:
+    def _digit_neg(self, a: int) -> int:
         p = self.p
         out, mult = 0, 1
         for _ in range(self.k):
@@ -204,15 +200,34 @@ class Field:
             mult *= p
         return out
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: int, b: int) -> int:
+    def _log_mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
         if self._exp is None:  # GF(2)
             return a & b
         return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+
+    # -- arithmetic on indices -------------------------------------------
+
+    def add(self, a: int, b: int) -> int:
+        if self._add is not None:
+            return self._add[a][b]
+        return self._digit_add(a, b)
+
+    def neg(self, a: int) -> int:
+        if self._neg is not None:
+            return self._neg[a]
+        return self._digit_neg(a)
+
+    def sub(self, a: int, b: int) -> int:
+        if self._add is not None:
+            return self._add[a][self._neg[b]]
+        return self._digit_add(a, self._digit_neg(b))
+
+    def mul(self, a: int, b: int) -> int:
+        if self._mul is not None:
+            return self._mul[a][b]
+        return self._log_mul(a, b)
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -231,6 +246,36 @@ class Field:
         if self._exp is None:  # GF(2), so a == 1
             return 1
         return self._exp[(self._log[a] * e) % (self.q - 1)]
+
+    # -- whole rows of indices -------------------------------------------
+
+    def scale_row(self, c: int, row) -> list[int]:
+        """c * row, entrywise."""
+        if self._mul is not None:
+            times_c = self._mul[c]
+            return [times_c[v] for v in row]
+        mul = self._log_mul
+        return [mul(c, v) for v in row]
+
+    def add_scaled_row(self, x, c: int, y) -> list[int]:
+        """x + c * y, entrywise."""
+        if self._mul is not None:
+            add, times_c = self._add, self._mul[c]
+            return [add[a][times_c[b]] for a, b in zip(x, y)]
+        add, mul = self._digit_add, self._log_mul
+        return [add(a, mul(c, b)) for a, b in zip(x, y)]
+
+    def dot(self, x, y) -> int:
+        """sum of x[i] * y[i]."""
+        total = 0
+        if self._mul is not None:
+            add, mul = self._add, self._mul
+            for a, b in zip(x, y):
+                total = add[total][mul[a][b]]
+            return total
+        for a, b in zip(x, y):
+            total = self._digit_add(total, self._log_mul(a, b))
+        return total
 
     # -- element objects -------------------------------------------------
 

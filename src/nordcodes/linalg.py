@@ -1,6 +1,7 @@
 """Row reduction, rank and nullspace over a finite field.
 
-Matrices are lists of rows; entries are element indices of a Field.
+Matrices are lists of rows; entries are element indices of a Field.  Every
+step is a whole-row operation (`Field.scale_row`, `Field.add_scaled_row`).
 Everything is exact and deterministic (leftmost pivot, top-down).
 """
 
@@ -22,15 +23,11 @@ def rref(rows: list[list[int]], field: Field):
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = field.inv(mat[r][c])
-        mat[r] = [field.mul(inv, v) for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                factor = mat[i][c]
-                mat[i] = [
-                    field.sub(mat[i][j], field.mul(factor, mat[r][j]))
-                    for j in range(ncols)
-                ]
+        mat[r] = field.scale_row(field.inv(mat[r][c]), mat[r])
+        tail = mat[r][c:]  # the pivot row is zero left of c
+        for i, row in enumerate(mat):
+            if i != r and row[c] != 0:
+                mat[i] = row[:c] + field.add_scaled_row(row[c:], field.neg(row[c]), tail)
         pivots.append(c)
         r += 1
         if r == len(mat):
@@ -60,8 +57,12 @@ def nullspace(rows: list[list[int]], field: Field, ncols: int | None = None):
     return basis
 
 
-def mat_vec_dot(row_a, row_b, field: Field) -> int:
-    total = 0
-    for a, b in zip(row_a, row_b):
-        total = field.add(total, field.mul(a, b))
-    return total
+def reduce(vec, rows, pivots, field: Field) -> list[int]:
+    """vec minus its combination of echelon rows: rows[i] is 1 at pivots[i]
+    and 0 at every earlier pivot (an RREF, or rows appended in that order).
+    The result is zero iff vec lies in their span."""
+    vec = list(vec)
+    for row, pc in zip(rows, pivots):
+        if vec[pc]:
+            vec = field.add_scaled_row(vec, field.neg(vec[pc]), row)
+    return vec

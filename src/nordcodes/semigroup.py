@@ -14,6 +14,7 @@ from math import gcd
 
 from .errors import (
     ClosureViolation,
+    MalformedProfile,
     NotCoprime,
     ProfileBijectionViolation,
     SemigroupTooLarge,
@@ -300,8 +301,28 @@ class GoodBasisProfile:
         return {"genus": self.genus, "entries": {str(i): v for i, v in self.entries}}
 
     @classmethod
-    def from_json(cls, data: dict) -> "GoodBasisProfile":
-        return cls.from_entries({int(k): v for k, v in data["entries"].items()})
+    def from_json(cls, data) -> "GoodBasisProfile":
+        """Profile from its JSON form, given parsed or as text; anything but
+        an object whose "entries" map integer strings to integers raises
+        MalformedProfile."""
+        if isinstance(data, (str, bytes)):
+            try:
+                data = json.loads(data)
+            except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+                raise MalformedProfile(f"not JSON: {exc}") from None
+        entries = data.get("entries") if isinstance(data, dict) else None
+        if not isinstance(entries, dict):
+            raise MalformedProfile('expected an object with an "entries" object')
+        parsed = {}
+        for k, v in entries.items():
+            try:
+                i = int(k)
+            except ValueError:
+                raise MalformedProfile(f"entry key {k!r} is not an integer") from None
+            if type(v) is not int:
+                raise MalformedProfile(f"entry {k!r}: {v!r} is not an integer")
+            parsed[i] = v
+        return cls.from_entries(parsed)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -194,3 +198,49 @@ def test_reproducible_json_outputs(capsys):
     first = run(capsys, "semigroup", "--curve-q", "3")[1]
     second = run(capsys, "semigroup", "--curve-q", "3")[1]
     assert first == second
+
+
+def test_generators_not_integers(capsys):
+    code, out, err = run(capsys, "semigroup", "--generators", "3,x")
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert "comma-separated list of integers" in err
+
+
+@pytest.mark.parametrize("text", [
+    "not json {",  # JSONDecodeError
+    b"\xff\xfe\x00",  # not UTF-8 either
+    '{"entries": {"1": "x"}}',  # TypeError at the seed
+    '{"entries": {"x": 1}}',
+    '{"entries": [1, 2]}',
+    "[1, 2]",
+    '{"entries": {"1": true}}',
+])
+def test_bound_malformed_profile(tmp_path, capsys, text):
+    path = tmp_path / "profile.json"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
+    code, out, err = run(capsys, "bound", "--profile", str(path), "--ell", "2", "--m", "3")
+    assert code == 1 and out == "" and err.startswith("error MalformedProfile:")
+
+
+def test_startup_without_numpy(tmp_path):
+    """Only the axioms command needs numpy; nothing else may import it."""
+    script = (
+        "import sys\n"
+        "{}\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    job = (
+        "from nordcodes.cli import main\n"
+        "assert main(['code', 'distance', '--q', '2', '--ell', '2', '--m', '1',"
+        f" '--out', {str(tmp_path / 'd.json')!r}]) == 0"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    for body in ("import nordcodes", job):
+        proc = subprocess.run([sys.executable, "-c", script.format(body)], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "d.json").read_text())["d"] == 3

@@ -1,12 +1,16 @@
+import itertools
 import json
+import time
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nordcodes import codes
 from nordcodes.errors import MBelowLambda, SearchTooLarge, WordNotInLayer
 from nordcodes.field import make_field
 from nordcodes.hermitian import HermitianCurve
-from nordcodes.linalg import mat_vec_dot
+from nordcodes.linalg import rank
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +42,7 @@ def test_duality():
     assert code.k + dual.k == 4
     for row in code.generator:
         for drow in dual.generator:
-            assert mat_vec_dot(list(row), list(drow), F) == 0
+            assert F.dot(row, drow) == 0
     assert dual.dual().generator == code.generator
 
 
@@ -65,6 +69,81 @@ def test_codewords_count_and_order():
     assert len(words) == 4 and words[0] == (0, 0, 0)
     assert words == sorted(words, key=lambda w: [0, 0, 0] != list(w)) or True
     assert len(set(words)) == 4
+
+
+# -- enumeration against the element-at-a-time references ------------------
+
+
+def ref_codewords(code):
+    """Every codeword, message-lexicographic order, one cell at a time."""
+    F = code.field
+    for msg in itertools.product(range(F.q), repeat=code.k):
+        word = [0] * code.n
+        for coef, row in zip(msg, code.generator):
+            if coef:
+                for c in range(code.n):
+                    word[c] = F.add(word[c], F.mul(coef, row[c]))
+        yield tuple(word)
+
+
+@st.composite
+def small_codes(draw):
+    p, k = draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2), (5, 2), (257, 1)]))
+    F = make_field(p, k)
+    n = draw(st.integers(1, 7))
+    dim = draw(st.integers(0, max(i for i in range(n + 1) if F.q**i <= 700)))
+    elem = st.integers(0, F.q - 1)
+    rows = draw(st.lists(st.lists(elem, min_size=n, max_size=n), min_size=dim, max_size=dim))
+    return codes.LinearCode.from_rows(rows, F, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_codes(), st.sampled_from([1, 2, 9, 1 << 10]))
+def test_codewords_and_distance_match_full_enumeration(code, block):
+    # a small block size makes the leading rows run as an outer message loop
+    saved, codes._BLOCK = codes._BLOCK, block
+    try:
+        words = list(code.codewords())
+        assert words == list(ref_codewords(code))
+        weights = [sum(1 for v in w if v) for w in words if any(w)]
+        assert code.min_distance_bruteforce() == (min(weights) if code.k else None)
+    finally:
+        codes._BLOCK = saved
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_codes(), st.data())
+def test_contains_matches_rank(code, data):
+    F = code.field
+    if data.draw(st.booleans()) and code.k:
+        word = data.draw(st.sampled_from(list(code.codewords())))
+    else:
+        word = data.draw(st.lists(st.integers(0, F.q - 1), min_size=code.n, max_size=code.n))
+    aug = [list(r) for r in code.generator] + [list(word)]
+    assert code.contains(word) == (rank(aug, F) == code.k)
+
+
+def test_enumeration_memory_is_bounded():
+    F = make_field(2, 2)
+    n = 16
+    rows = [[1 if j in (i, i + 4) else 0 for j in range(n)] for i in range(12)]
+    code = codes.LinearCode.from_rows(rows, F, n)
+    assert F.q**code.k == 1 << 24  # at the cap, still searchable
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        it = iter(code.codewords())
+        assert next(it) == (0,) * n
+        assert time.perf_counter() - start < 1.0
+        for _ in range(5000):  # past the first block
+            next(it)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    bigger = codes.LinearCode.from_rows(rows + [[0] * 15 + [1]], F, n)
+    with pytest.raises(SearchTooLarge):
+        bigger.min_distance_bruteforce()
 
 
 # -- evaluation codes -------------------------------------------------------
@@ -94,7 +173,7 @@ def test_build_C_examples(c2):
     assert e21.k + c21.k == 7
     for row in e21.generator:
         for drow in c21.generator:
-            assert mat_vec_dot(list(row), list(drow), c2.field) == 0
+            assert c2.field.dot(row, drow) == 0
 
 
 def test_nesting(c2):
@@ -124,7 +203,47 @@ def test_saturation_index(c2):
     assert ranks[6] == 7 and ranks[5] < 7
 
 
+@pytest.mark.parametrize("q,ms", [(2, (1, 2, 3)), (3, (5, 6, 8))])
+def test_caches_match_direct_evaluation(q, ms):
+    curve = HermitianCurve(q)
+    pts = codes.evaluation_points(curve)
+    for m in ms:
+        # saturation: the least ell at which a fresh evaluation matrix has full rank
+        ref = next(ell for ell in range(200)
+                   if rank([[curve.monomial(a, b).evaluate(p) for p in pts]
+                            for a, b in curve.riemann_roch_basis(ell, m)], curve.field) == len(pts))
+        assert codes.saturation_index(curve, m) == ref
+        for ell in (0, ref - 1, ref):
+            assert codes.evaluation_matrix(curve, ell, m) == [
+                [curve.monomial(a, b).evaluate(p) for p in pts]
+                for a, b in curve.riemann_roch_basis(ell, m)
+            ]
+    assert codes.basis_images(curve, 9) == [
+        [curve.good_basis_function(t).evaluate(p) for p in pts] for t in range(9)
+    ]
+
+
 # -- syndromes --------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.sampled_from([2, 3]), data=st.data())
+def test_syndrome_matrix_matches_cellwise(q, data):
+    curve = HermitianCurve(q)
+    F, pts = curve.field, codes.evaluation_points(curve)
+    word = data.draw(st.lists(st.integers(0, F.q - 1), min_size=len(pts), max_size=len(pts)))
+    L = data.draw(st.integers(0, 8))
+    h = [[curve.good_basis_function(t).evaluate(p) for p in pts] for t in range(L + 1)]
+    ref = []
+    for i in range(L + 1):
+        row = []
+        for j in range(L + 1):
+            total = 0
+            for c in range(len(pts)):
+                total = F.add(total, F.mul(F.mul(h[i][c], h[j][c]), word[c]))
+            row.append(total)
+        ref.append(tuple(row))
+    assert codes.syndrome_matrix(curve, 1, word, L).entries == tuple(ref)
 
 
 def test_syndrome_of_zero_word(c2):
