@@ -1,7 +1,7 @@
 """Two-point evaluation codes on Hermitian curves, near-order functions and
 the n-order bound on the minimum distance."""
 
-from .field import Field, FieldElement, make_field
+from .field import Field, make_field
 from .semigroup import (
     GoodBasisProfile,
     NumericalSemigroup,
@@ -26,7 +26,6 @@ from .codes import LinearCode, build_C, build_E, evaluation_points, saturation_i
 
 __all__ = [
     "Field",
-    "FieldElement",
     "make_field",
     "GoodBasisProfile",
     "NumericalSemigroup",

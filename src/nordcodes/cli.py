@@ -16,10 +16,10 @@ from .field import make_field
 from .hermitian import HermitianCurve
 from .semigroup import (
     GoodBasisProfile,
-    NumericalSemigroup,
     TwoPointSemigroup,
     hyperelliptic_profile,
     ns_from_generators,
+    semigroup_from_json,
 )
 
 
@@ -50,9 +50,9 @@ def _emit(args, text: str):
         sys.stdout.write(text)
 
 
-def _load_profile(path: str) -> GoodBasisProfile:
+def _read(path: str) -> bytes:
     with open(path, "rb") as fh:
-        return GoodBasisProfile.from_json(fh.read())
+        return fh.read()
 
 
 # -- subcommand handlers ----------------------------------------------------
@@ -64,13 +64,7 @@ def _cmd_semigroup(args) -> int:
     elif args.curve_q:
         out = HermitianCurve(args.curve_q).two_point_semigroup().to_json()
     else:
-        with open(args.from_file) as fh:
-            data = json.load(fh)
-        gaps = data["gaps"]
-        if gaps and isinstance(gaps[0], list):
-            out = TwoPointSemigroup(frozenset(tuple(p) for p in gaps)).to_json()
-        else:
-            out = NumericalSemigroup(frozenset(gaps)).to_json()
+        out = semigroup_from_json(_read(args.from_file)).to_json()
     _emit(args, json.dumps(out, sort_keys=True) + "\n")
     return 0
 
@@ -81,15 +75,13 @@ def _cmd_profile(args) -> int:
     elif args.hyperelliptic_gamma:
         prof = hyperelliptic_profile(args.hyperelliptic_gamma)
     else:
-        with open(args.semigroup) as fh:
-            data = json.load(fh)
-        prof = TwoPointSemigroup(frozenset(tuple(p) for p in data["gaps"])).profile()
+        prof = TwoPointSemigroup.from_json(_read(args.semigroup)).profile()
     _emit(args, json.dumps(prof.to_json(), sort_keys=True) + "\n")
     return 0
 
 
 def _cmd_bound(args) -> int:
-    prof = _load_profile(args.profile)
+    prof = GoodBasisProfile.from_json(_read(args.profile))
     if args.table:
         ell_range = args.ell_range or _parse_range(str(args.ell))
         m_range = args.m_range or _parse_range(str(args.m))
@@ -167,7 +159,9 @@ def _cmd_code(args) -> int:
 
 
 def _cmd_axioms(args) -> int:
-    from . import models  # the only command that needs numpy
+    # imported here, not at the top, so that the other commands do not load
+    # models and its imports: that keeps their start-up time and peak memory down
+    from . import models
 
     field = make_field(args.p, args.k)
     if args.model == "constant":

@@ -57,6 +57,10 @@ class MalformedProfile(NordError):
     pass
 
 
+class MalformedSemigroup(NordError):
+    pass
+
+
 # bound_engine
 class MBelowLambda(NordError):
     pass
@@ -72,6 +76,10 @@ class HypothesisNotMet(NordError):
 
 # nweight_models
 class GIsConstant(NordError):
+    pass
+
+
+class CoefficientOutOfRange(NordError):
     pass
 
 

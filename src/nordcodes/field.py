@@ -14,7 +14,6 @@ Vectors are lists of indices.  `Field.scale_row`, `Field.add_scaled_row` and
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DivisionByZero, FieldTooLarge, NotPrime, ReduciblePolynomial
@@ -277,22 +276,6 @@ class Field:
             total = self._digit_add(total, self._log_mul(a, b))
         return total
 
-    # -- element objects -------------------------------------------------
-
-    def __call__(self, index: int) -> "FieldElement":
-        return FieldElement(self, index % self.q)
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    def elements(self):
-        return [FieldElement(self, i) for i in range(self.q)]
-
     def __eq__(self, other):
         return (
             isinstance(other, Field)
@@ -304,48 +287,6 @@ class Field:
 
     def __repr__(self):
         return f"Field(p={self.p}, k={self.k}, modulus={list(self.modulus)})"
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    field: Field
-    index: int
-
-    def _bin(self, other, op):
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValueError("field mismatch")
-            other = other.index
-        return FieldElement(self.field, op(self.index, other))
-
-    def __add__(self, other):
-        return self._bin(other, self.field.add)
-
-    def __sub__(self, other):
-        return self._bin(other, self.field.sub)
-
-    def __mul__(self, other):
-        return self._bin(other, self.field.mul)
-
-    def __truediv__(self, other):
-        if isinstance(other, FieldElement):
-            other = other.index
-        return FieldElement(self.field, self.field.mul(self.index, self.field.inv(other)))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.index))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow(self.index, e))
-
-    def inverse(self):
-        return FieldElement(self.field, self.field.inv(self.index))
-
-    def __bool__(self):
-        return self.index != 0
-
-    def __repr__(self):
-        return f"<{self.index} in GF({self.field.q})>"
 
 
 @lru_cache(maxsize=None)

@@ -5,6 +5,22 @@ Four models are provided: the constant map on a polynomial ring, the
 ideal-membership map on a polynomial ring, the Laurent ring F[X,Y]/(XY-1)
 graded by the Y-degree, and valuation adapters over a Hermitian curve.
 
+Every model is one sparse monomial algebra.  An element is a tuple of
+(monomial key, coefficient index) pairs sorted by key, with no zero
+coefficient.  The keys are degrees in F[t], exponents of X in the Laurent
+ring (Y^e is X^-e), and the reduced exponents (a, b) of x^a y^b on the
+curve.  `NWeightModel` implements the algebra once; a model supplies four
+hooks:
+
+* `basis_keys(bound)`: the monomials whose span is sampled;
+* `monomial_product(k1, k2)`: the product of two monomials, as an element
+  (the key sum for F[t] and the Laurent ring, the reduced product on the
+  curve); `mul` caches it per model instance;
+* `rho(f)`: the value map;
+* `show(f)`: how an element appears in reports: the dense low-to-high
+  coefficient tuple in F[t], the pairs in the Laurent ring, and the
+  "c*x^a*y^b" text of `TwoPointFunction` on the curve.
+
 All verdicts are exhaustive over a bounded, deterministically enumerated
 sample; nothing is probabilistic.  When the full coefficient space is too
 large the sample is every element supported on at most two basis monomials,
@@ -17,11 +33,9 @@ from __future__ import annotations
 import json
 from math import gcd
 
-import numpy as np
-
-from .errors import GIsConstant, SampleTooLarge, TrivialModel
+from .errors import CoefficientOutOfRange, GIsConstant, SampleTooLarge, TrivialModel
 from .field import Field
-from .hermitian import HermitianCurve
+from .hermitian import HermitianCurve, TwoPointFunction
 
 NEG_INF = float("-inf")
 
@@ -31,46 +45,85 @@ _FULL_TRIPLE_LIMIT = 260
 
 
 # ---------------------------------------------------------------------------
-# model interface
+# the algebra
 
 
 class NWeightModel:
-    """An F-algebra with a value map rho; elements are hashable payloads."""
+    """An F-algebra with a value map rho, as a sparse monomial algebra.
+
+    Concrete models define the hooks `basis_keys`, `monomial_product`, `rho`
+    and `show`, the key `unit_key` of the monomial 1, and `_order_key`, the
+    sort key of the sample.  This class defines none of them, so that
+    `NormalizedModel` finds its base model's."""
 
     name: str
     field: Field
 
-    # algebra ops, overridden per model
+    def __init__(self, field: Field):
+        self.field = field
+        self._products: dict = {}
+
     def zero(self):
-        raise NotImplementedError
+        return ()
 
     def one(self):
-        raise NotImplementedError
+        return ((self.unit_key, 1),)
 
     def add(self, f, g):
-        raise NotImplementedError
+        # merge of two key-sorted supports
+        add = self.field.add
+        out = []
+        i = j = 0
+        while i < len(f) and j < len(g):
+            (kf, cf), (kg, cg) = f[i], g[j]
+            if kf < kg:
+                out.append(f[i])
+                i += 1
+            elif kg < kf:
+                out.append(g[j])
+                j += 1
+            else:
+                c = add(cf, cg)
+                if c:
+                    out.append((kf, c))
+                i += 1
+                j += 1
+        return (*out, *f[i:], *g[j:])
 
     def neg(self, f):
-        raise NotImplementedError
+        return self.scale(self.field.neg(1), f)
 
     def scale(self, lam: int, f):
-        raise NotImplementedError
-
-    def mul(self, f, g):
-        raise NotImplementedError
-
-    def rho(self, f):
-        raise NotImplementedError
-
-    def basis(self, bound: int) -> list:
-        """Deterministic monomial-like spanning set for enumeration."""
-        raise NotImplementedError
+        if lam == 0:
+            return ()
+        mul = self.field.mul
+        return tuple((k, mul(lam, c)) for k, c in f)
 
     def sub(self, f, g):
         return self.add(f, self.neg(g))
 
+    def mul(self, f, g):
+        F = self.field
+        add, mul = F.add, F.mul
+        products = self._products
+        acc: dict = {}
+        for k1, c1 in f:
+            for k2, c2 in g:
+                prod = products.get((k1, k2))
+                if prod is None:
+                    prod = products[(k1, k2)] = self.monomial_product(k1, k2)
+                c = mul(c1, c2)
+                for k, m in prod:
+                    term = mul(c, m)
+                    acc[k] = add(acc[k], term) if k in acc else term
+        return tuple(sorted(kc for kc in acc.items() if kc[1]))
+
+    def basis(self, bound: int) -> list:
+        """Deterministic monomial spanning set for enumeration."""
+        return [((k, 1),) for k in self.basis_keys(bound)]
+
     def is_zero(self, f) -> bool:
-        return f == self.zero()
+        return not f
 
     def in_unit_part(self, f) -> bool:
         return self.rho(f) <= self.rho(self.one())
@@ -92,7 +145,7 @@ class NWeightModel:
                         new.append(self.add(f, self.scale(c, mono)))
                 out.extend(new)
             # rebuild in a canonical deterministic order
-            return sorted(set(out), key=_sort_key)
+            return sorted(set(out), key=self._order_key)
         out = {self.zero()}
         for i, m1 in enumerate(basis):
             for c1 in range(1, q):
@@ -101,64 +154,40 @@ class NWeightModel:
                 for m2 in basis[i + 1 :]:
                     for c2 in range(1, q):
                         out.add(self.add(f1, self.scale(c2, m2)))
-        return sorted(out, key=_sort_key)
+        return sorted(out, key=self._order_key)
 
     def describe(self) -> str:
         return self.name
 
 
-def _sort_key(payload):
-    if hasattr(payload, "support"):
-        return repr(payload.support)
-    return repr(payload)
-
-
 # ---------------------------------------------------------------------------
-# polynomial-ring models (payload: trimmed low-to-high coefficient tuple)
+# F[t] and the Laurent ring: keys are integer exponents
 
 
-class _PolynomialAlgebra(NWeightModel):
-    def __init__(self, field: Field):
-        self.field = field
+class _ExponentAlgebra(NWeightModel):
+    unit_key = 0
 
-    def zero(self):
-        return ()
+    def monomial_product(self, e1: int, e2: int):
+        return ((e1 + e2, 1),)
 
-    def one(self):
-        return (1,)
+    def show(self, f):
+        return f
 
-    def add(self, f, g):
-        F = self.field
-        n = max(len(f), len(g))
-        out = [F.add(f[i] if i < len(f) else 0, g[i] if i < len(g) else 0) for i in range(n)]
-        while out and out[-1] == 0:
-            out.pop()
-        return tuple(out)
+    def _order_key(self, f):
+        return repr(self.show(f))
 
-    def neg(self, f):
-        return tuple(self.field.neg(c) for c in f)
 
-    def scale(self, lam, f):
-        if lam == 0:
-            return ()
-        F = self.field
-        return tuple(F.mul(lam, c) for c in f)
+class _PolynomialAlgebra(_ExponentAlgebra):
+    """F[t]; reports show the dense low-to-high coefficient tuple."""
 
-    def mul(self, f, g):
-        if not f or not g:
-            return ()
-        F = self.field
-        out = [0] * (len(f) + len(g) - 1)
-        for i, ci in enumerate(f):
-            if ci:
-                for j, cj in enumerate(g):
-                    out[i + j] = F.add(out[i + j], F.mul(ci, cj))
-        while out and out[-1] == 0:
-            out.pop()
-        return tuple(out)
+    def basis_keys(self, bound: int):
+        return range(bound + 1)
 
-    def basis(self, bound):
-        return [tuple([0] * d + [1]) for d in range(bound + 1)]
+    def show(self, f):
+        dense = [0] * (f[-1][0] + 1) if f else []
+        for d, c in f:
+            dense[d] = c
+        return tuple(dense)
 
 
 class ConstantModel(_PolynomialAlgebra):
@@ -174,11 +203,15 @@ class ConstantModel(_PolynomialAlgebra):
 
 
 class IdealModel(_PolynomialAlgebra):
-    """rho(f) = 0 on the nonzero multiples of a fixed nonconstant g, else 1."""
+    """rho(f) = 0 on the nonzero multiples of a fixed nonconstant g, else 1.
+    g is the dense low-to-high coefficient list."""
 
     def __init__(self, field: Field, g):
         super().__init__(field)
         g = tuple(g)
+        bad = [c for c in g if not (isinstance(c, int) and 0 <= c < field.q)]
+        if bad:
+            raise CoefficientOutOfRange(f"coefficients of g must lie in [0, {field.q}), got {bad}")
         while g and g[-1] == 0:
             g = g[:-1]
         if len(g) < 2:
@@ -188,7 +221,7 @@ class IdealModel(_PolynomialAlgebra):
 
     def _divisible(self, f) -> bool:
         F = self.field
-        rem = list(f)
+        rem = list(self.show(f))
         g = self.g
         lead_inv = F.inv(g[-1])
         while len(rem) >= len(g):
@@ -208,46 +241,16 @@ class IdealModel(_PolynomialAlgebra):
         return 0 if self._divisible(f) else 1
 
 
-# ---------------------------------------------------------------------------
-# Laurent model F[X,Y]/(XY-1): payload is a sorted tuple of (exponent, coeff)
-# with y^e identified with x^(-e); the f2 part is the negative exponents.
+class LaurentModel(_ExponentAlgebra):
+    """F[X,Y]/(XY-1) = F[X, X^-1]; rho is the Y-degree, the negated lowest
+    X-exponent when that is negative, else 0."""
 
-
-class LaurentModel(NWeightModel):
     def __init__(self, field: Field):
-        self.field = field
+        super().__init__(field)
         self.name = "laurent"
 
-    def zero(self):
-        return ()
-
-    def one(self):
-        return ((0, 1),)
-
-    def add(self, f, g):
-        F = self.field
-        acc = dict(f)
-        for e, c in g:
-            acc[e] = F.add(acc.get(e, 0), c)
-        return tuple(sorted((e, c) for e, c in acc.items() if c != 0))
-
-    def neg(self, f):
-        return tuple((e, self.field.neg(c)) for e, c in f)
-
-    def scale(self, lam, f):
-        if lam == 0:
-            return ()
-        F = self.field
-        return tuple((e, F.mul(lam, c)) for e, c in f)
-
-    def mul(self, f, g):
-        F = self.field
-        acc: dict[int, int] = {}
-        for e1, c1 in f:
-            for e2, c2 in g:
-                e = e1 + e2
-                acc[e] = F.add(acc.get(e, 0), F.mul(c1, c2))
-        return tuple(sorted((e, c) for e, c in acc.items() if c != 0))
+    def basis_keys(self, bound: int):
+        return range(-bound, bound + 1)
 
     def rho(self, f):
         if not f:
@@ -255,52 +258,46 @@ class LaurentModel(NWeightModel):
         lowest = f[0][0]
         return -lowest if lowest < 0 else 0
 
-    def basis(self, bound):
-        return [((e, 1),) for e in range(-bound, bound + 1)]
-
 
 # ---------------------------------------------------------------------------
-# curve adapters
+# curve adapters: keys are the reduced exponents (a, b) of x^a y^b
 
 
 class CurveValuationModel(NWeightModel):
     """rho (pole order at infinity) or sigma (pole order at the origin) on the
     coordinate ring of a Hermitian curve; sample drawn from R_bound^bound."""
 
+    unit_key = (0, 0)
+
     def __init__(self, curve: HermitianCurve, which: str):
         if which not in ("rho", "sigma"):
             raise ValueError("which must be 'rho' or 'sigma'")
+        super().__init__(curve.field)
         self.curve = curve
-        self.field = curve.field
         self.which = which
         self.name = f"curve(q={curve.q}, {which})"
 
-    def zero(self):
-        return self.curve.zero_function()
+    def basis_keys(self, bound: int):
+        return self.curve.riemann_roch_basis(bound, bound)
 
-    def one(self):
-        return self.curve.one_function()
-
-    def add(self, f, g):
-        return f + g
-
-    def neg(self, f):
-        return -f
-
-    def scale(self, lam, f):
-        return f.scale(lam)
-
-    def mul(self, f, g):
-        return f * g
+    def monomial_product(self, k1, k2):
+        return self.curve.monomial(k1[0] + k2[0], k1[1] + k2[1]).support
 
     def rho(self, f):
-        if f.is_zero():
+        # the pole order of the support's worst monomial, from
+        # v_inf(x^a y^b) = -(a*q + b*(q+1)) and v_0(x^a y^b) = a + b*(q+1)
+        if not f:
             return NEG_INF
-        val = f.valuations()
-        return val.rho if self.which == "rho" else val.sigma
+        q = self.curve.q
+        if self.which == "rho":
+            return max(0, max(a * q + b * (q + 1) for (a, b), _ in f))
+        return max(0, max(-(a + b * (q + 1)) for (a, b), _ in f))
 
-    def basis(self, bound):
-        return [self.curve.monomial(a, b) for a, b in self.curve.riemann_roch_basis(bound, bound)]
+    def show(self, f):
+        return str(TwoPointFunction(self.curve, f))
+
+    def _order_key(self, f):
+        return repr(f)
 
 
 def model_constant(field: Field, c: int) -> ConstantModel:
@@ -322,18 +319,26 @@ def model_curve(curve: HermitianCurve, which: str) -> CurveValuationModel:
 # ---------------------------------------------------------------------------
 # axiom checking
 
+_ELEMENT_KEYS = ("f", "g", "h")
+
 
 class AxiomReport:
-    def __init__(self, model_name: str, bound: int, sample_size: int):
+    """Verdicts and witnesses; witness elements are stored as `show` gives
+    them."""
+
+    def __init__(self, model_name: str, bound: int, sample_size: int, show):
         self.model_name = model_name
         self.bound = bound
         self.sample_size = sample_size
+        self.show = show
         self.entries: dict[str, dict] = {}
 
     def record(self, axiom: str, ok: bool, witness=None):
         entry = {"axiom": axiom, "verdict": "PASS" if ok else "FAIL"}
         if not ok:
-            entry["witness"] = witness
+            entry["witness"] = {
+                k: self.show(v) if k in _ELEMENT_KEYS else v for k, v in witness.items()
+            }
         self.entries[axiom] = entry
 
     def passed(self, axiom: str) -> bool:
@@ -362,7 +367,8 @@ class AxiomReport:
 
 def _canonical_reps(model: NWeightModel, sample):
     """Leading-coefficient-1 representatives (plus zero), deduplicated in
-    first-occurrence order."""
+    first-occurrence order; the leading coefficient is that of the lowest
+    key."""
     F = model.field
     seen = {}
     zero = model.zero()
@@ -371,30 +377,46 @@ def _canonical_reps(model: NWeightModel, sample):
     for f in sample:
         if model.is_zero(f):
             continue
-        lead = _leading_coeff(f)
-        g = model.scale(F.inv(lead), f)
+        g = model.scale(F.inv(f[0][1]), f)
         if g not in seen:
             seen[g] = True
             reps.append(g)
     return reps
 
 
-def _leading_coeff(payload):
-    # payloads are coeff tuples, tuples of (key, coeff) pairs, or curve
-    # functions exposing .support
-    if hasattr(payload, "support"):
-        return payload.support[0][1]
-    for item in payload:
-        if isinstance(item, tuple):
-            if item[1] != 0:
-                return item[1]
-        elif item != 0:
-            return item
-    raise ValueError("zero payload has no leading coefficient")
+def _first_violation(rrhos, prodrho, strict, weak: bool):
+    """First (i, g, h) in index order with rrhos[i] < rrhos[g] and
+    prodrho[i][h] >= prodrho[g][h] where strict[h], or (if weak) >
+    elsewhere; None if there is none.
 
+    Each row is compared with the column minima over the rows of higher
+    rho, built once per rho level, so the scan is O(n^2).  Only the first
+    failing row is walked pair by pair for its witness."""
+    n = len(rrhos)
+    levels: dict[float, list[int]] = {}
+    for i, r in enumerate(rrhos):
+        levels.setdefault(r, []).append(i)
+    above = {}  # rho level -> column minima over the rows above it
+    col_min = None
+    for r in sorted(levels, reverse=True):
+        above[r] = col_min
+        for i in levels[r]:
+            col_min = prodrho[i] if col_min is None else list(map(min, col_min, prodrho[i]))
 
-def _rho_vec(model, elems):
-    return np.array([model.rho(f) for f in elems], dtype=float)
+    def bad(p, other, s):
+        return p >= other if s else weak and p > other
+
+    for i in range(n):
+        col_min = above[rrhos[i]]
+        row = prodrho[i]
+        if col_min is None or not any(map(bad, row, col_min, strict)):
+            continue
+        for g in range(n):
+            if rrhos[g] > rrhos[i]:
+                for h, hit in enumerate(map(bad, row, prodrho[g], strict)):
+                    if hit:
+                        return i, g, h
+    return None
 
 
 def axiom_check(model: NWeightModel, bound: int) -> AxiomReport:
@@ -403,13 +425,13 @@ def axiom_check(model: NWeightModel, bound: int) -> AxiomReport:
     sample = model.elements(bound)
     if len(sample) > _SAMPLE_CAP:
         raise SampleTooLarge(f"sample has {len(sample)} elements (> {_SAMPLE_CAP})")
-    report = AxiomReport(model.describe(), bound, len(sample))
+    report = AxiomReport(model.describe(), bound, len(sample), model.show)
     F = model.field
     units = [c for c in range(1, F.q)]
     rho1 = model.rho(model.one())
     zero = model.zero()
 
-    rhos = _rho_vec(model, sample)
+    rhos = [float(model.rho(f)) for f in sample]
 
     # N0: rho(f) = -inf iff f = 0
     bad = next(
@@ -451,50 +473,27 @@ def axiom_check(model: NWeightModel, bound: int) -> AxiomReport:
         reps = list(sample)
     else:
         reps = _canonical_reps(model, sample)
-    rrhos = _rho_vec(model, reps)
+    rrhos = [float(model.rho(f)) for f in reps]
     nrep = len(reps)
-    prodrho = np.empty((nrep, nrep), dtype=float)
-    products = [[None] * nrep for _ in range(nrep)]
-    for i in range(nrep):
-        prodrho[i, i] = model.rho(model.mul(reps[i], reps[i]))
+    prodrho = [[0.0] * nrep for _ in range(nrep)]
+    for i, f in enumerate(reps):
+        row = prodrho[i]
+        row[i] = float(model.rho(model.mul(f, f)))
         for j in range(i + 1, nrep):
-            p = model.mul(reps[i], reps[j])
-            products[i][j] = products[j][i] = p
-            prodrho[i, j] = prodrho[j, i] = model.rho(p)
-    m_mask = rrhos > rho1
-    nonzero_mask = rrhos > NEG_INF
+            row[j] = prodrho[j][i] = float(model.rho(model.mul(f, reps[j])))
+    m_mask = [r > rho1 for r in rrhos]
+    nonzero_mask = [r > NEG_INF for r in rrhos]
 
     # N3: rho(f) < rho(g) implies rho(fh) <= rho(gh), strict for h in M
-    n3_witness = None
-    for i in range(nrep):
-        if n3_witness:
-            break
-        greater = np.where(rrhos > rrhos[i])[0]
-        if greater.size == 0:
-            continue
-        weak_bad = prodrho[i] > prodrho[greater]  # (|greater|, nrep)
-        strict_bad = (prodrho[i] >= prodrho[greater]) & m_mask[np.newaxis, :]
-        bad = weak_bad | strict_bad
-        if bad.any():
-            gi, h = np.argwhere(bad)[0]
-            n3_witness = {"f": reps[i], "g": reps[greater[gi]], "h": reps[h]}
-    report.record("N3", n3_witness is None, n3_witness)
-
     # O3: rho(f) < rho(g), h != 0 implies strict inequality
-    o3_witness = None
-    for i in range(nrep):
-        if o3_witness:
-            break
-        greater = np.where(rrhos > rrhos[i])[0]
-        if greater.size == 0:
-            continue
-        bad = (prodrho[i] >= prodrho[greater]) & nonzero_mask[np.newaxis, :]
-        if bad.any():
-            gi, h = np.argwhere(bad)[0]
-            o3_witness = {"f": reps[i], "g": reps[greater[gi]], "h": reps[h]}
-    report.record("O3", o3_witness is None, o3_witness)
+    for axiom, strict, weak in (("N3", m_mask, True), ("O3", nonzero_mask, False)):
+        hit = _first_violation(rrhos, prodrho, strict, weak)
+        witness = hit and {"f": reps[hit[0]], "g": reps[hit[1]], "h": reps[hit[2]]}
+        report.record(axiom, hit is None, witness)
 
-    # N4 (+ uniqueness of lambda) on M-pairs, O4 on all equal-rho pairs
+    # N4 (+ uniqueness of lambda) on M-pairs, O4 on all equal-rho pairs;
+    # f - lam*g is formed as f + (-lam)*g
+    neg_units = [(lam, F.neg(lam)) for lam in units]
     n4_witness = unique_witness = o4_witness = None
     by_rho: dict[float, list] = {}
     for f, r in zip(sample, rhos):
@@ -507,8 +506,8 @@ def axiom_check(model: NWeightModel, bound: int) -> AxiomReport:
                 f, g = group[a], group[b]
                 lams = [
                     lam
-                    for lam in units
-                    if model.rho(model.sub(f, model.scale(lam, g))) < r
+                    for lam, minus_lam in neg_units
+                    if model.rho(model.add(f, model.scale(minus_lam, g))) < r
                 ]
                 if in_m:
                     if not lams and n4_witness is None:
@@ -523,33 +522,28 @@ def axiom_check(model: NWeightModel, bound: int) -> AxiomReport:
 
     # N5: rho(fg) <= rho(f) + rho(g); equality on M x M
     n5_witness = None
-    nz = np.where(nonzero_mask)[0]
+    nz = [i for i in range(nrep) if nonzero_mask[i]]
     for i in nz:
-        sums = rrhos[i] + rrhos[nz]
-        row = prodrho[i, nz]
-        over = row > sums
-        eq_required = m_mask[i] & m_mask[nz]
-        uneq = eq_required & (row != sums)
-        bad = over | uneq
-        if bad.any():
-            j = nz[np.argwhere(bad)[0][0]]
-            n5_witness = {
-                "f": reps[i],
-                "g": reps[j],
-                "rho(fg)": prodrho[i, j],
-                "rho(f)+rho(g)": rrhos[i] + rrhos[j],
-            }
+        for j in nz:
+            p, s = prodrho[i][j], rrhos[i] + rrhos[j]
+            if p > s or (m_mask[i] and m_mask[j] and p != s):
+                n5_witness = {"f": reps[i], "g": reps[j], "rho(fg)": p, "rho(f)+rho(g)": s}
+                break
+        if n5_witness:
             break
     report.record("N5", n5_witness is None, n5_witness)
 
     # Lemma 3.12: M contains no zero divisors
-    zd_witness = None
-    m_idx = np.where(m_mask)[0]
-    if m_idx.size:
-        bad = prodrho[np.ix_(m_idx, nz)] == NEG_INF
-        if bad.any():
-            a, b = np.argwhere(bad)[0]
-            zd_witness = {"f": reps[m_idx[a]], "g": reps[nz[b]]}
+    zd_witness = next(
+        (
+            {"f": reps[i], "g": reps[j]}
+            for i in range(nrep)
+            if m_mask[i]
+            for j in nz
+            if prodrho[i][j] == NEG_INF
+        ),
+        None,
+    )
     report.record("lemma_no_zero_divisors", zd_witness is None, zd_witness)
 
     # Lemma 3.11 classification: U cap sample = F  iff  O0-O4 pass
@@ -574,34 +568,17 @@ def axiom_check(model: NWeightModel, bound: int) -> AxiomReport:
 
 class NormalizedModel(NWeightModel):
     """Same algebra, rho divided by the sampled gcd on M and clamped to 0
-    on U.  The gcd is taken over the finite sample only."""
+    on U.  The gcd is taken over the finite sample only.  Everything but
+    rho and the name (the field, the hooks, the product cache) is the base
+    model's."""
 
     def __init__(self, base: NWeightModel, divisor: int):
         self.base = base
-        self.field = base.field
         self.divisor = divisor
         self.name = f"normalized({base.describe()}, d={divisor})"
 
-    def zero(self):
-        return self.base.zero()
-
-    def one(self):
-        return self.base.one()
-
-    def add(self, f, g):
-        return self.base.add(f, g)
-
-    def neg(self, f):
-        return self.base.neg(f)
-
-    def scale(self, lam, f):
-        return self.base.scale(lam, f)
-
-    def mul(self, f, g):
-        return self.base.mul(f, g)
-
-    def basis(self, bound):
-        return self.base.basis(bound)
+    def __getattr__(self, attr):
+        return getattr(self.base, attr)
 
     def rho(self, f):
         r = self.base.rho(f)
@@ -656,7 +633,7 @@ def filtration_check(model: NWeightModel, bound: int) -> dict:
     # Remark-style representative sanity: iota(f_i) = i, rho(f_i) = rho_i
     for i, f in enumerate(reps):
         if iota(f) != i or rhos[f] != values[i]:
-            failures.append({"check": "representative", "i": i, "f": f})
+            failures.append({"check": "representative", "i": i, "f": model.show(f)})
 
     # one-step growth: each new level is one-dimensional over the previous
     for i in range(len(values) - 1):
@@ -674,7 +651,8 @@ def filtration_check(model: NWeightModel, bound: int) -> dict:
                 ]
                 if len(lams) != 1:
                     failures.append(
-                        {"check": "one_step_growth", "f": f, "g": g, "lambdas": lams}
+                        {"check": "one_step_growth", "f": model.show(f), "g": model.show(g),
+                         "lambdas": lams}
                     )
 
     # l(i, j) monotonicity and the n-weight product rule, via representatives

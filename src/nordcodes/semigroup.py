@@ -15,6 +15,7 @@ from math import gcd
 from .errors import (
     ClosureViolation,
     MalformedProfile,
+    MalformedSemigroup,
     NotCoprime,
     ProfileBijectionViolation,
     SemigroupTooLarge,
@@ -35,6 +36,25 @@ def _require_size(largest_gap: int):
         raise SemigroupTooLarge(
             f"largest gap can reach {largest_gap}, above the cap {MAX_LARGEST_GAP}"
         )
+
+
+def _parse_json(data, error):
+    """data parsed if it is JSON text (str or bytes), else as given; text
+    that is not UTF-8 JSON raises error."""
+    if isinstance(data, (str, bytes)):
+        try:
+            return json.loads(data)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise error(f"not JSON: {exc}") from None
+    return data
+
+
+def _gaps_field(data) -> list:
+    data = _parse_json(data, MalformedSemigroup)
+    gaps = data.get("gaps") if isinstance(data, dict) else None
+    if not isinstance(gaps, list):
+        raise MalformedSemigroup('expected an object with a "gaps" list')
+    return gaps
 
 
 def _set_bits(v: int):
@@ -110,8 +130,15 @@ class NumericalSemigroup:
         return {"gaps": sorted(self.gaps)}
 
     @classmethod
-    def from_json(cls, data: dict) -> "NumericalSemigroup":
-        return cls(frozenset(data["gaps"]))
+    def from_json(cls, data) -> "NumericalSemigroup":
+        """Semigroup from its JSON form, given parsed or as text; anything
+        but an object whose "gaps" is a list of integers raises
+        MalformedSemigroup."""
+        gaps = _gaps_field(data)
+        bad = next((g for g in gaps if type(g) is not int), None)
+        if bad is not None:
+            raise MalformedSemigroup(f"gap {bad!r} is not an integer")
+        return cls(frozenset(gaps))
 
 
 def ns_from_generators(gens: list[int]) -> NumericalSemigroup:
@@ -204,8 +231,26 @@ class TwoPointSemigroup:
         return {"gaps": [list(p) for p in sorted(self.gapset)]}
 
     @classmethod
-    def from_json(cls, data: dict) -> "TwoPointSemigroup":
-        return cls(frozenset(tuple(p) for p in data["gaps"]))
+    def from_json(cls, data) -> "TwoPointSemigroup":
+        """Two-point semigroup from its JSON form, given parsed or as text;
+        anything but an object whose "gaps" is a list of integer pairs
+        raises MalformedSemigroup."""
+        gaps = _gaps_field(data)
+        for p in gaps:
+            if not (isinstance(p, (list, tuple)) and len(p) == 2
+                    and all(type(x) is int for x in p)):
+                raise MalformedSemigroup(f"gap {p!r} is not a pair of integers")
+        return cls(frozenset(tuple(p) for p in gaps))
+
+
+def semigroup_from_json(data) -> NumericalSemigroup | TwoPointSemigroup:
+    """The semigroup of a JSON object given parsed or as text: a "gaps" list
+    that starts with a pair makes a TwoPointSemigroup, any other a
+    NumericalSemigroup."""
+    data = _parse_json(data, MalformedSemigroup)
+    gaps = _gaps_field(data)
+    two_point = bool(gaps) and isinstance(gaps[0], list)
+    return (TwoPointSemigroup if two_point else NumericalSemigroup).from_json(data)
 
 
 def tps_from_gapset(pairs) -> TwoPointSemigroup:
@@ -305,11 +350,7 @@ class GoodBasisProfile:
         """Profile from its JSON form, given parsed or as text; anything but
         an object whose "entries" map integer strings to integers raises
         MalformedProfile."""
-        if isinstance(data, (str, bytes)):
-            try:
-                data = json.loads(data)
-            except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-                raise MalformedProfile(f"not JSON: {exc}") from None
+        data = _parse_json(data, MalformedProfile)
         entries = data.get("entries") if isinstance(data, dict) else None
         if not isinstance(entries, dict):
             raise MalformedProfile('expected an object with an "entries" object')

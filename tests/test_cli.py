@@ -225,8 +225,32 @@ def test_bound_malformed_profile(tmp_path, capsys, text):
     assert code == 1 and out == "" and err.startswith("error MalformedProfile:")
 
 
+@pytest.mark.parametrize("argv", [
+    ("semigroup", "--from-file"),
+    ("profile", "--semigroup"),
+])
+@pytest.mark.parametrize("text", [
+    "not json {",  # each of these once ended in a traceback: JSONDecodeError,
+    b"\xff\xfe\x00",
+    '{"gaps": ["a"]}',  # TypeError or ValueError,
+    '{"gaps": [[1, "x"]]}',  # TypeError,
+    '{"nogaps": 1}',  # KeyError,
+    "[1, 2]",  # TypeError
+    '{"gaps": [[1, 2, 3]]}',
+    '{"gaps": [true]}',
+])
+def test_semigroup_file_malformed(tmp_path, capsys, argv, text):
+    path = tmp_path / "sg.json"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 1 and out == "" and err.startswith("error MalformedSemigroup:")
+
+
 def test_startup_without_numpy(tmp_path):
-    """Only the axioms command needs numpy; nothing else may import it."""
+    """No command imports numpy, the axiom checker included."""
     script = (
         "import sys\n"
         "{}\n"
@@ -237,10 +261,16 @@ def test_startup_without_numpy(tmp_path):
         "assert main(['code', 'distance', '--q', '2', '--ell', '2', '--m', '1',"
         f" '--out', {str(tmp_path / 'd.json')!r}]) == 0"
     )
+    axioms_job = (
+        "from nordcodes.cli import main\n"
+        "assert main(['axioms', '--model', 'curve-rho', '--q', '2', '--bound', '2',"
+        f" '--out', {str(tmp_path / 'a.json')!r}]) == 0"
+    )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    for body in ("import nordcodes", job):
+    for body in ("import nordcodes", job, axioms_job):
         proc = subprocess.run([sys.executable, "-c", script.format(body)], env=env,
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
     assert json.loads((tmp_path / "d.json").read_text())["d"] == 3
+    assert json.loads((tmp_path / "a.json").read_text())["model"] == "curve(q=2, rho)"

@@ -1,7 +1,8 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nordcodes import models
-from nordcodes.errors import GIsConstant, TrivialModel
+from nordcodes.errors import CoefficientOutOfRange, GIsConstant, TrivialModel
 from nordcodes.field import make_field
 from nordcodes.hermitian import HermitianCurve
 from nordcodes.models import NEG_INF
@@ -17,18 +18,26 @@ def test_constant_model_values():
     m = models.model_constant(F2, 3)
     assert m.rho(m.zero()) == NEG_INF
     assert m.rho(m.one()) == 3
-    assert m.rho((1, 0, 0, 0, 0, 1)) == 3  # t^5 + 1
+    assert m.rho(((0, 1), (5, 1))) == 3  # t^5 + 1
     assert not any(m.in_m_part(f) for f in m.elements(3))
 
 
 def test_ideal_model_values():
     m = models.model_ideal(F2, [0, 0, 1])  # g = t^2
-    assert m.rho((0, 0, 1)) == 0
-    assert m.rho((0, 1)) == 1
+    assert m.rho(((2, 1),)) == 0  # t^2
+    assert m.rho(((1, 1),)) == 1  # t
     assert m.rho(()) == NEG_INF
     assert m.rho(m.one()) == 1
     with pytest.raises(GIsConstant):
         models.model_ideal(F2, [1])
+
+
+def test_ideal_coefficients_must_be_field_elements():
+    # 2 is not an element index of GF(2): refused before any sampling
+    for g in ([2, 0, 1], [-1, 1], [0, 1.5]):
+        with pytest.raises(CoefficientOutOfRange):
+            models.model_ideal(F2, g)
+    assert models.model_ideal(F4, [3, 0, 1]).g == (3, 0, 1)
 
 
 def test_laurent_model_values():
@@ -46,9 +55,9 @@ def test_laurent_model_values():
 def test_curve_model_values():
     c2 = HermitianCurve(2)
     m = models.model_curve(c2, "rho")
-    assert m.rho(c2.monomial(1, 0)) == 2  # x has pole order q at infinity
-    assert m.rho(c2.one_function()) == 0
-    assert m.rho(c2.monomial(2, -1)) == 1
+    assert m.rho(c2.monomial(1, 0).support) == 2  # x has pole order q at infinity
+    assert m.rho(c2.one_function().support) == 0
+    assert m.rho(c2.monomial(2, -1).support) == 1
 
 
 # -- axiom checker ----------------------------------------------------------
@@ -189,8 +198,8 @@ def test_curve_pair_well_agreeing():
     sample = mr.elements(4)
     T = c2.two_point_semigroup()
     box = T.box
-    constants = {c2.zero_function()} | {
-        c2.one_function().scale(lam) for lam in range(1, c2.field.q)
+    constants = {c2.zero_function().support} | {
+        c2.one_function().scale(lam).support for lam in range(1, c2.field.q)
     }
     in_both_units = set()
     for f in sample:
@@ -201,7 +210,7 @@ def test_curve_pair_well_agreeing():
             assert pair in T, pair
         if pair == (0, 0):
             in_both_units.add(f)
-    assert in_both_units | {c2.zero_function()} == constants
+    assert in_both_units | {c2.zero_function().support} == constants
 
 
 def test_unit_part_closed_under_product():
@@ -210,3 +219,161 @@ def test_unit_part_closed_under_product():
     for f in units:
         for g in units:
             assert m.in_unit_part(m.mul(f, g))
+
+
+# -- the sparse algebra against reference arithmetic ------------------------
+
+
+def _dense_add(F, f, g):
+    """Addition of dense low-to-high coefficient tuples (the earlier F[t]
+    payload), the reference for the sparse algebra."""
+    n = max(len(f), len(g))
+    out = [F.add(f[i] if i < len(f) else 0, g[i] if i < len(g) else 0) for i in range(n)]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _dense_mul(F, f, g):
+    """Convolution of dense coefficient tuples, the reference for `mul`."""
+    if not f or not g:
+        return ()
+    out = [0] * (len(f) + len(g) - 1)
+    for i, ci in enumerate(f):
+        if ci:
+            for j, cj in enumerate(g):
+                out[i + j] = F.add(out[i + j], F.mul(ci, cj))
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _laurent_mul(F, f, g):
+    """Product of Laurent pair tuples by exponent sums (the earlier
+    LaurentModel.mul)."""
+    acc = {}
+    for e1, c1 in f:
+        for e2, c2 in g:
+            acc[e1 + e2] = F.add(acc.get(e1 + e2, 0), F.mul(c1, c2))
+    return tuple(sorted((e, c) for e, c in acc.items() if c != 0))
+
+
+def _sparse(dense):
+    return tuple((d, c) for d, c in enumerate(dense) if c)
+
+
+FIELDS = [make_field(2, 1), make_field(3, 1), make_field(2, 2), make_field(3, 2)]
+
+
+@st.composite
+def _field_and_dense_pair(draw):
+    F = draw(st.sampled_from(FIELDS))
+    dense = st.lists(st.integers(0, F.q - 1), max_size=6).map(
+        lambda c: _dense_add(F, tuple(c), ()))
+    return F, draw(dense), draw(dense)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_field_and_dense_pair(), st.integers(0, 8))
+def test_polynomial_algebra_matches_dense(case, lam):
+    F, f, g = case
+    lam %= F.q
+    m = models.model_constant(F, 1)
+    sf, sg = _sparse(f), _sparse(g)
+    assert m.show(sf) == f and m.show(sg) == g
+    assert m.show(m.mul(sf, sg)) == _dense_mul(F, f, g)
+    assert m.show(m.add(sf, sg)) == _dense_add(F, f, g)
+    assert m.show(m.sub(sf, sf)) == ()
+    assert m.show(m.scale(lam, sf)) == _dense_add(F, tuple(F.mul(lam, c) for c in f), ())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(FIELDS), st.data())
+def test_laurent_mul_matches_exponent_sums(F, data):
+    pairs = st.dictionaries(st.integers(-4, 4), st.integers(1, F.q - 1), max_size=5).map(
+        lambda d: tuple(sorted(d.items())))
+    f, g = data.draw(pairs), data.draw(pairs)
+    m = models.model_laurent(F)
+    assert m.mul(f, g) == _laurent_mul(F, f, g)
+    assert m.mul(f, g) == m.mul(g, f)
+
+
+CURVES = {q: HermitianCurve(q) for q in (2, 3)}
+
+
+@st.composite
+def _curve_functions(draw):
+    curve = CURVES[draw(st.sampled_from(sorted(CURVES)))]
+    q, Q = curve.q, curve.field.q
+    raw = st.dictionaries(
+        st.tuples(st.integers(0, q), st.integers(-3, 3)), st.integers(1, Q - 1), max_size=4)
+    return curve, curve.function(draw(raw)), curve.function(draw(raw)), draw(st.integers(0, Q - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_curve_functions())
+def test_curve_algebra_matches_two_point_functions(case):
+    curve, f, g, lam = case
+    for which in ("rho", "sigma"):
+        m = models.model_curve(curve, which)
+        a, b = f.support, g.support
+        assert m.add(a, b) == (f + g).support
+        assert m.sub(a, b) == (f - g).support
+        assert m.mul(a, b) == (f * g).support
+        assert m.scale(lam, a) == f.scale(lam).support
+        assert m.show(a) == str(f)
+        if not f.is_zero():
+            val = f.valuations()
+            assert m.rho(a) == (val.rho if which == "rho" else val.sigma)
+
+
+# -- N3/O3: column minima against the full triple scan ----------------------
+
+
+def _n3_scan(rrhos, prodrho, m_mask):
+    """The earlier O(n^3) N3 scan: rows i, then for each g of higher rho in
+    index order, every column h."""
+    n = len(rrhos)
+    for i in range(n):
+        for g in (g for g in range(n) if rrhos[g] > rrhos[i]):
+            for h in range(n):
+                weak_bad = prodrho[i][h] > prodrho[g][h]
+                strict_bad = prodrho[i][h] >= prodrho[g][h] and m_mask[h]
+                if weak_bad or strict_bad:
+                    return i, g, h
+    return None
+
+
+def _o3_scan(rrhos, prodrho, nonzero_mask):
+    n = len(rrhos)
+    for i in range(n):
+        for g in (g for g in range(n) if rrhos[g] > rrhos[i]):
+            for h in range(n):
+                if prodrho[i][h] >= prodrho[g][h] and nonzero_mask[h]:
+                    return i, g, h
+    return None
+
+
+_VALUES = st.sampled_from([NEG_INF, 0.0, 1.0, 2.0, 3.0])
+
+
+@st.composite
+def _value_matrix(draw):
+    n = draw(st.integers(0, 7))
+    rrhos = draw(st.lists(_VALUES, min_size=n, max_size=n))
+    prodrho = [draw(st.lists(_VALUES, min_size=n, max_size=n)) for _ in range(n)]
+    return rrhos, prodrho, draw(_VALUES)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_value_matrix())
+@example(([0.0, 1.0, 2.0], [[0.0, 1.0, 2.0], [1.0, 0.0, 2.0], [2.0, 2.0, 0.0]], 0.0))
+@example(([NEG_INF, 0.0, 1.0], [[NEG_INF] * 3, [NEG_INF, 1.0, 1.0], [NEG_INF, 0.0, 2.0]], 0.0))
+def test_first_violation_matches_triple_scan(case):
+    rrhos, prodrho, rho1 = case
+    m_mask = [r > rho1 for r in rrhos]
+    nonzero_mask = [r > NEG_INF for r in rrhos]
+    assert models._first_violation(rrhos, prodrho, m_mask, True) == _n3_scan(
+        rrhos, prodrho, m_mask)
+    assert models._first_violation(rrhos, prodrho, nonzero_mask, False) == _o3_scan(
+        rrhos, prodrho, nonzero_mask)
