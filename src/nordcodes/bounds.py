@@ -6,8 +6,8 @@ delta, the A/B/C decomposition of N_r^m and a diagnostic that compares the
 closed formula d_nord = l + 2 - genus + #A against direct enumeration.
 
 d_nord, delta and bound_table count #N_r^m with n_set_size, in O(genus) per
-set; n_set lists the pairs themselves and is the reference the count is
-tested against.
+set, and bound_table counts each set once for the whole table; n_set lists
+the pairs themselves and is the reference the count is tested against.
 """
 
 from __future__ import annotations
@@ -164,14 +164,34 @@ def lemma62_diagnostic(profile: GoodBasisProfile, ell: int, m: int) -> dict:
 
 
 def bound_table(profile: GoodBasisProfile, ell_range, m_range) -> list[tuple]:
-    """Rows (ell, m, #N_ell^m, d_nord, d_goppa, delta) in ell-major order."""
+    """Rows (ell, m, #N_ell^m, d_nord, d_goppa, delta) in ell-major order.
+
+    Each #N_r^m is counted once, for r from the least ell to the largest
+    ell + genus; d_nord is the minimum of those counts over the window
+    [ell, ell + genus], as in d_nord itself.
+    """
+    ells, ms = list(ell_range), list(m_range)
+    if not ells or not ms:
+        return []
+    # raise what the first failing cell in ell-major order would raise
+    _require_ell(ells[0])
+    for m in ms:
+        _require_m(profile, m)
+    for ell in ells:
+        _require_ell(ell)
+    genus = profile.genus
+    lo = min(ells)
+    counts = {
+        m: [n_set_size(profile, r, m) for r in range(lo, max(ells) + genus + 1)]
+        for m in ms
+    }
     rows = []
-    for ell in ell_range:
-        for m in m_range:
-            nsz = n_set_size(profile, ell, m)
-            dn = d_nord(profile, ell, m)
-            dg = d_goppa(ell, m, profile.genus)
-            rows.append((ell, m, nsz, dn, dg, dn - dg))
+    for ell in ells:
+        for m in ms:
+            window = counts[m][ell - lo : ell - lo + genus + 1]
+            dn = min(window)
+            dg = d_goppa(ell, m, genus)
+            rows.append((ell, m, window[0], dn, dg, dn - dg))
     return rows
 
 

@@ -254,7 +254,7 @@ def main(argv=None) -> int:
     except NordError as exc:
         print(f"error {exc.name}: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing, unreadable or directory path
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -91,6 +91,10 @@ class SampleTooLarge(NordError):
     pass
 
 
+class EmptyLevel(NordError):
+    pass
+
+
 # hermitian_curve
 class UnsupportedQ(NordError):
     pass

@@ -1,11 +1,11 @@
-"""Exact arithmetic in small finite fields GF(p^k).
+"""Exact arithmetic in small finite fields GF(p^k), q = p^k <= 256.
 
 Elements are encoded by an integer index in [0, q): the base-p digits of the
 index, little-endian, are the coefficients of the residue polynomial modulo
-the field's irreducible modulus.  Inversion and powers run through exp/log
-tables w.r.t. a fixed generator.  For q <= _ADD_TABLE_LIMIT, addition,
-multiplication and negation are lookups in full tables built once per field;
-larger fields multiply through exp/log and add digitwise.
+the field's irreducible modulus.  Every field gets, once, exp/log tables
+w.r.t. a fixed generator and full add, mul and neg tables, so each operation
+is a table lookup.  Larger fields are refused with FieldTooLarge before any
+table is built.
 
 Vectors are lists of indices.  `Field.scale_row`, `Field.add_scaled_row` and
 `Field.dot` are the whole-row operations that `linalg` and `codes` run on.
@@ -18,8 +18,7 @@ from functools import lru_cache
 
 from .errors import DivisionByZero, FieldTooLarge, NotPrime, ReduciblePolynomial
 
-MAX_FIELD_SIZE = 1 << 16
-_ADD_TABLE_LIMIT = 256
+MAX_FIELD_SIZE = 256  # every accepted field is fully tabled
 
 
 def _is_prime(n: int) -> bool:
@@ -106,13 +105,15 @@ class Field:
     """Immutable GF(p^k) with table-backed arithmetic on element indices."""
 
     def __init__(self, p: int, k: int, modulus=None):
-        if not _is_prime(p):
-            raise NotPrime(f"{p} is not prime")
         if k < 1:
             raise NotPrime(f"extension degree must be >= 1, got {k}")
+        # before the primality test, and p^k only for small k, so that a huge
+        # p or k costs nothing
+        if p >= 2 and (k >= MAX_FIELD_SIZE.bit_length() or p**k > MAX_FIELD_SIZE):
+            raise FieldTooLarge(f"GF({p}^{k}) has more than {MAX_FIELD_SIZE} elements")
+        if not _is_prime(p):
+            raise NotPrime(f"{p} is not prime")
         q = p**k
-        if q > MAX_FIELD_SIZE:
-            raise FieldTooLarge(f"p^k = {q} exceeds {MAX_FIELD_SIZE}")
         if modulus is None:
             modulus = _default_modulus(p, k)
         else:
@@ -148,37 +149,28 @@ class Field:
 
     def _build_tables(self):
         q = self.q
-        # find a multiplicative generator, build exp/log tables
-        self._exp = None
-        self._log = None
-        if q > 2:
-            for g in range(2, q):
-                x, order = 1, 0
-                while True:
-                    x = self._raw_mul(x, g)
-                    order += 1
-                    if x == 1:
-                        break
-                if order == q - 1:
-                    exp = [1] * (q - 1)
-                    log = [0] * q
-                    x = 1
-                    for i in range(q - 1):
-                        exp[i] = x
-                        log[x] = i
-                        x = self._raw_mul(x, g)
-                    self._exp = exp
-                    self._log = log
-                    self.generator = g
-                    break
-        else:
-            self.generator = 1
-        # full add/mul/neg tables (small fields) -- else digit and exp/log arithmetic
-        self._add = self._mul = self._neg = None
-        if q <= _ADD_TABLE_LIMIT:
-            self._add = [[self._digit_add(a, b) for b in range(q)] for a in range(q)]
-            self._mul = [[self._log_mul(a, b) for b in range(q)] for a in range(q)]
-            self._neg = [self._digit_neg(a) for a in range(q)]
+        # the first element of order q - 1 generates; g = 1 does only for q = 2
+        for g in range(1, q):
+            x, order = g, 1
+            while x != 1:
+                x = self._raw_mul(x, g)
+                order += 1
+            if order == q - 1:
+                break
+        exp = [1] * (q - 1)
+        log = [0] * q
+        x = 1
+        for i in range(q - 1):
+            exp[i] = x
+            log[x] = i
+            x = self._raw_mul(x, g)
+        self.generator, self._exp, self._log = g, exp, log
+        self._add = [[self._digit_add(a, b) for b in range(q)] for a in range(q)]
+        self._mul = [[0] * q] + [
+            [0] + [exp[(log[a] + log[b]) % (q - 1)] for b in range(1, q)]
+            for a in range(1, q)
+        ]
+        self._neg = [self._digit_neg(a) for a in range(q)]
 
     def _digit_add(self, a: int, b: int) -> int:
         p = self.p
@@ -199,40 +191,23 @@ class Field:
             mult *= p
         return out
 
-    def _log_mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        if self._exp is None:  # GF(2)
-            return a & b
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
-
     # -- arithmetic on indices -------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self._add is not None:
-            return self._add[a][b]
-        return self._digit_add(a, b)
+        return self._add[a][b]
 
     def neg(self, a: int) -> int:
-        if self._neg is not None:
-            return self._neg[a]
-        return self._digit_neg(a)
+        return self._neg[a]
 
     def sub(self, a: int, b: int) -> int:
-        if self._add is not None:
-            return self._add[a][self._neg[b]]
-        return self._digit_add(a, self._digit_neg(b))
+        return self._add[a][self._neg[b]]
 
     def mul(self, a: int, b: int) -> int:
-        if self._mul is not None:
-            return self._mul[a][b]
-        return self._log_mul(a, b)
+        return self._mul[a][b]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("inverse of zero")
-        if self._exp is None:
-            return a
         return self._exp[(-self._log[a]) % (self.q - 1)]
 
     def pow(self, a: int, e: int) -> int:
@@ -242,38 +217,26 @@ class Field:
             if e < 0:
                 raise DivisionByZero("negative power of zero")
             return 0
-        if self._exp is None:  # GF(2), so a == 1
-            return 1
         return self._exp[(self._log[a] * e) % (self.q - 1)]
 
     # -- whole rows of indices -------------------------------------------
 
     def scale_row(self, c: int, row) -> list[int]:
         """c * row, entrywise."""
-        if self._mul is not None:
-            times_c = self._mul[c]
-            return [times_c[v] for v in row]
-        mul = self._log_mul
-        return [mul(c, v) for v in row]
+        times_c = self._mul[c]
+        return [times_c[v] for v in row]
 
     def add_scaled_row(self, x, c: int, y) -> list[int]:
         """x + c * y, entrywise."""
-        if self._mul is not None:
-            add, times_c = self._add, self._mul[c]
-            return [add[a][times_c[b]] for a, b in zip(x, y)]
-        add, mul = self._digit_add, self._log_mul
-        return [add(a, mul(c, b)) for a, b in zip(x, y)]
+        add, times_c = self._add, self._mul[c]
+        return [add[a][times_c[b]] for a, b in zip(x, y)]
 
     def dot(self, x, y) -> int:
         """sum of x[i] * y[i]."""
+        add, mul = self._add, self._mul
         total = 0
-        if self._mul is not None:
-            add, mul = self._add, self._mul
-            for a, b in zip(x, y):
-                total = add[total][mul[a][b]]
-            return total
         for a, b in zip(x, y):
-            total = self._digit_add(total, self._log_mul(a, b))
+            total = add[total][mul[a][b]]
         return total
 
     def __eq__(self, other):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import BoxTooSmall, PoleAtPoint, UnsupportedQ, ZeroFunction
 from .field import Field, make_field
-from .semigroup import GoodBasisProfile, NumericalSemigroup, TwoPointSemigroup
+from .semigroup import GoodBasisProfile, NumericalSemigroup, TwoPointSemigroup, ns_from_generators
 
 _SUPPORTED_Q = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1)}
 
@@ -136,16 +136,7 @@ class HermitianCurve:
 
     def rho_semigroup(self) -> NumericalSemigroup:
         """H(Q1) = <q, q+1>."""
-        gaps = set()
-        q = self.q
-        reachable = {0}
-        bound = 2 * self.genus
-        for n in range(1, bound + 1):
-            if (n - q in reachable and n >= q) or (n - q - 1 in reachable and n >= q + 1):
-                reachable.add(n)
-            else:
-                gaps.add(n)
-        return NumericalSemigroup(frozenset(gaps))
+        return ns_from_generators([self.q, self.q + 1])
 
     def sigma_semigroup(self) -> NumericalSemigroup:
         # Q2 is a rational point of the same curve family; by symmetry of the

@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 from math import gcd
 
-from .errors import CoefficientOutOfRange, GIsConstant, SampleTooLarge, TrivialModel
+from .errors import CoefficientOutOfRange, EmptyLevel, GIsConstant, SampleTooLarge, TrivialModel
 from .field import Field
 from .hermitian import HermitianCurve, TwoPointFunction
 
@@ -625,7 +625,10 @@ def filtration_check(model: NWeightModel, bound: int) -> dict:
 
     reps = []
     for v in values:
-        reps.append(next(f for f in nonzero if rhos[f] == v))
+        rep = next((f for f in nonzero if rhos[f] == v), None)
+        if rep is None:  # level 0 is inserted even when no element reaches it
+            raise EmptyLevel(f"no sampled element has rho = {v}")
+        reps.append(rep)
 
     failures = []
     skipped = 0

@@ -123,9 +123,6 @@ class NumericalSemigroup:
                     return n
             n += 1
 
-    def nongaps_upto(self, bound: int) -> list[int]:
-        return [n for n in range(bound + 1) if n in self]
-
     def to_json(self) -> dict:
         return {"gaps": sorted(self.gaps)}
 

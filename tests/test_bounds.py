@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nordcodes import bounds
-from nordcodes.errors import HypothesisNotMet, MBelowLambda, NegativeEll
+from nordcodes.errors import HypothesisNotMet, MBelowLambda, NegativeEll, NordError
 from nordcodes.hermitian import HermitianCurve
 from nordcodes.semigroup import GoodBasisProfile, hyperelliptic_profile, ns_from_generators
 
@@ -194,6 +194,48 @@ def test_bound_table():
     assert bounds.bound_table(HYPER2, range(0), [3]) == []
     rows = bounds.bound_table(EMPTY, range(0, 5), [0])
     assert all(r[3] == r[0] + 2 for r in rows)
+
+
+def bound_table_per_cell(profile, ell_range, m_range):
+    """The table cell by cell, one d_nord per cell, as before the shared counts."""
+    rows = []
+    for ell in ell_range:
+        for m in m_range:
+            nsz = bounds.n_set_size(profile, ell, m)
+            dn = bounds.d_nord(profile, ell, m)
+            dg = bounds.d_goppa(ell, m, profile.genus)
+            rows.append((ell, m, nsz, dn, dg, dn - dg))
+    return rows
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except NordError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(profile=PROFILES, data=st.data())
+def test_bound_table_matches_per_cell(profile, data):
+    # unsorted, repeated and sparse ranges, negative ell and m < lambda_sigma
+    lam = profile.lambda_sigma
+    ells = data.draw(st.lists(st.integers(-3, 2 * profile.lambda_rho + 2), max_size=6),
+                     label="ells")
+    ms = data.draw(st.lists(st.integers(lam - 2, 2 * lam + 2), max_size=4), label="ms")
+    assert _outcome(lambda: bounds.bound_table(profile, ells, ms)) == _outcome(
+        lambda: bound_table_per_cell(profile, ells, ms)
+    )
+
+
+def test_bound_table_error_is_first_failing_cell():
+    # ell-major order: the first bad ell, or the first bad m if ell[0] is good
+    with pytest.raises(NegativeEll, match="ell = -1 <"):
+        bounds.bound_table(HYPER2, [0, -1, -2], [3])
+    with pytest.raises(MBelowLambda, match="m = 1 <"):
+        bounds.bound_table(HYPER2, [0, -1], [3, 1, 0])
+    with pytest.raises(NegativeEll):
+        bounds.bound_table(HYPER2, [-1, 0], [1])
 
 
 def test_csv_format():

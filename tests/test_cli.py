@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -167,6 +168,19 @@ def test_semigroup_too_large(capsys):
     assert code == 1 and out == "" and err.startswith("error SemigroupTooLarge:")
 
 
+@pytest.mark.parametrize("field", [
+    ("--p", "257"),
+    ("--p", "2", "--k", "9"),
+    ("--p", "999999999999989"),  # a prime: trial division would take seconds
+])
+def test_axioms_field_too_large(capsys, field):
+    # refused in the Field constructor, before any table or sample is built
+    start = time.perf_counter()
+    code, out, err = run(capsys, "axioms", "--model", "constant", *field, "--bound", "0")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == "" and err.startswith("error FieldTooLarge:")
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "nonsense")[0] == 2
     assert run(capsys, "bound", "--profile", "x.json")[0] == 2  # missing --ell/--m
@@ -178,6 +192,16 @@ def test_missing_file(capsys):
         capsys, "bound", "--profile", "/nonexistent.json", "--ell", "2", "--m", "3"
     )
     assert code == 1 and "error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("bound", "--profile", "{dir}", "--ell", "2", "--m", "3"),
+    ("curve", "info", "--q", "2", "--out", "{dir}"),
+])
+def test_directory_as_path(tmp_path, capsys, argv):
+    # a directory as input or as --out is an OSError, not a traceback
+    code, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+    assert code == 1 and out == "" and err.startswith("error: ")
 
 
 def test_byte_reproducible(hyper2_profile, capsys, monkeypatch):

@@ -1,8 +1,10 @@
 import pytest
 from hypothesis import given, strategies as st
+from sympy import ZZ
+from sympy.polys.galoistools import gf_add, gf_irreducible_p, gf_mul, gf_neg, gf_rem, gf_strip
 
 from nordcodes.errors import DivisionByZero, FieldTooLarge, NotPrime, ReduciblePolynomial
-from nordcodes.field import Field, make_field
+from nordcodes.field import MAX_FIELD_SIZE, Field, make_field
 
 
 def test_default_moduli():
@@ -39,8 +41,9 @@ def test_validation_errors():
         Field(4, 1)
     with pytest.raises(ReduciblePolynomial):
         Field(2, 2, modulus=[1, 0, 1])  # (t+1)^2
-    with pytest.raises(FieldTooLarge):
-        Field(2, 17)
+    for p, k in ((2, 9), (257, 1), (2, 17)):
+        with pytest.raises(FieldTooLarge):
+            Field(p, k)
     with pytest.raises(DivisionByZero):
         make_field(2, 2).inv(0)
 
@@ -85,3 +88,42 @@ def test_pow_matches_repeated_mul():
         for e in range(1, 10):
             acc = F.mul(acc, a)
             assert F.pow(a, e) == acc
+
+
+# -- the tables against sympy's polynomial arithmetic over GF(p) -------------
+# galoistools lists coefficients high-to-low; Field.coeffs is low-to-high, so
+# the galoistools list of an element is its base-p digits read most
+# significant first, and Horner's rule over that list gives the index back.
+
+
+def _gf_poly(F, a):
+    return gf_strip([ZZ(c) for c in reversed(F.coeffs(a))])
+
+
+def _gf_index(F, poly):
+    index = 0
+    for c in poly:
+        index = index * F.p + int(c)
+    return index
+
+
+@pytest.mark.parametrize("p,k", [
+    (p, k) for p in (2, 3, 5, 7, 11, 13) for k in range(2, 9) if p**k <= MAX_FIELD_SIZE
+])
+def test_default_modulus_irreducible_by_sympy(p, k):
+    modulus = [ZZ(c) for c in reversed(make_field(p, k).modulus)]
+    assert gf_irreducible_p(modulus, p, ZZ)
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 8)])
+def test_tables_match_sympy(p, k):
+    F = make_field(p, k)
+    modulus = [ZZ(c) for c in reversed(F.modulus)]
+    elems = range(F.q) if F.q <= 27 else sorted({*range(0, F.q, 9), F.q - 1})
+    for a in elems:
+        pa = _gf_poly(F, a)
+        assert F.neg(a) == _gf_index(F, gf_neg(pa, p, ZZ))
+        for b in elems:
+            pb = _gf_poly(F, b)
+            assert F.add(a, b) == _gf_index(F, gf_add(pa, pb, p, ZZ))
+            assert F.mul(a, b) == _gf_index(F, gf_rem(gf_mul(pa, pb, p, ZZ), modulus, p, ZZ))

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nordcodes import models
-from nordcodes.errors import CoefficientOutOfRange, GIsConstant, TrivialModel
+from nordcodes.errors import CoefficientOutOfRange, EmptyLevel, GIsConstant, TrivialModel
 from nordcodes.field import make_field
 from nordcodes.hermitian import HermitianCurve
 from nordcodes.models import NEG_INF
@@ -186,6 +186,16 @@ def test_filtration_curve_sigma():
 def test_filtration_trivial_rejected():
     with pytest.raises(TrivialModel):
         models.filtration_check(models.model_constant(F2, 1), 3)
+
+
+def test_filtration_empty_level_named():
+    class Broken(models.LaurentModel):  # every nonzero element has rho >= 1
+        def rho(self, f):
+            base = super().rho(f)
+            return base if base == NEG_INF else base + len(f)
+
+    with pytest.raises(EmptyLevel, match="rho = 0"):
+        models.filtration_check(Broken(make_field(3, 1)), 2)
 
 
 # -- well-agreeing pair properties (curve rho with sigma) -------------------
