@@ -9,29 +9,45 @@ Every model is one sparse monomial algebra.  An element is a tuple of
 (monomial key, coefficient index) pairs sorted by key, with no zero
 coefficient.  The keys are degrees in F[t], exponents of X in the Laurent
 ring (Y^e is X^-e), and the reduced exponents (a, b) of x^a y^b on the
-curve.  `NWeightModel` implements the algebra once; a model supplies four
+curve.  `NWeightModel` implements the algebra once; a model supplies the
 hooks:
 
 * `basis_keys(bound)`: the monomials whose span is sampled;
 * `monomial_product(k1, k2)`: the product of two monomials, as an element
   (the key sum for F[t] and the Laurent ring, the reduced product on the
   curve); `mul` caches it per model instance;
-* `rho(f)`: the value map;
+* `weight(key)`, or a rho of its own: the generic `NWeightModel.rho` is the
+  largest weight over the support.  The weights are c (constant model),
+  max(0, -k) (Laurent) and max(0, +-pole order) of x^a y^b (curve rho and
+  sigma).  `IdealModel` and `NormalizedModel` define their own rho;
 * `show(f)`: how an element appears in reports: the dense low-to-high
   coefficient tuple in F[t], the pairs in the Laurent ring, and the
   "c*x^a*y^b" text of `TwoPointFunction` on the curve.
+
+The checkers take rho of sums, multiples and products of sample elements
+from a rows object.  A model whose rho is the generic body (constant,
+Laurent, both curve adapters) gets `_WeightRows`, which reads these values
+from packed coefficient rows and monomial-product tables with no element
+built.  Any other model (ideal, normalized, a subclass overriding rho)
+gets `_SparseRows`, which forms each element in the algebra; it is also
+the test oracle of `_WeightRows`.
 
 All verdicts are exhaustive over a bounded, deterministically enumerated
 sample; nothing is probabilistic.  When the full coefficient space is too
 large the sample is every element supported on at most two basis monomials,
 and triple-quantified axioms run over leading-coefficient-1 representatives
 (equivalent under scalar invariance, which is itself checked exhaustively).
+`sample_size` gives the sample's size in closed form, and every checker
+refuses a sample above `_SAMPLE_CAP` with SampleTooLarge before building it.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
+from itertools import repeat
 from math import gcd
+from operator import and_, gt, le, lt, ne
 
 from .errors import CoefficientOutOfRange, EmptyLevel, GIsConstant, SampleTooLarge, TrivialModel
 from .field import Field
@@ -44,6 +60,21 @@ _SAMPLE_CAP = 2000
 _FULL_TRIPLE_LIMIT = 260
 
 
+def _spans_fully(q: int, n: int) -> bool:
+    """Whether the sample is the full span of n basis monomials: q^n <=
+    _FULL_ENUM_LIMIT (q >= 2, so no longer basis qualifies)."""
+    return n < _FULL_ENUM_LIMIT.bit_length() and q**n <= _FULL_ENUM_LIMIT
+
+
+def _bounded_sample(model, bound: int) -> list:
+    """model.elements(bound), refused before it is built when it would
+    exceed _SAMPLE_CAP."""
+    size = model.sample_size(bound)
+    if size > _SAMPLE_CAP:
+        raise SampleTooLarge(f"sample has {size} elements (> {_SAMPLE_CAP})")
+    return model.elements(bound)
+
+
 # ---------------------------------------------------------------------------
 # the algebra
 
@@ -51,10 +82,11 @@ _FULL_TRIPLE_LIMIT = 260
 class NWeightModel:
     """An F-algebra with a value map rho, as a sparse monomial algebra.
 
-    Concrete models define the hooks `basis_keys`, `monomial_product`, `rho`
-    and `show`, the key `unit_key` of the monomial 1, and `_order_key`, the
-    sort key of the sample.  This class defines none of them, so that
-    `NormalizedModel` finds its base model's."""
+    Concrete models define the hooks `basis_keys`, `monomial_product`,
+    `weight` (or their own `rho`) and `show`, the key `unit_key` of the
+    monomial 1, and `_order_key`, the sort key of the sample.  This class
+    defines none of them but the generic `rho`, so that `NormalizedModel`
+    finds its base model's."""
 
     name: str
     field: Field
@@ -68,6 +100,12 @@ class NWeightModel:
 
     def one(self):
         return ((self.unit_key, 1),)
+
+    def rho(self, f):
+        """The largest `weight` over the support of f."""
+        if not f:
+            return NEG_INF
+        return max(map(self.weight, [k for k, _ in f]))
 
     def add(self, f, g):
         # merge of two key-sorted supports
@@ -131,12 +169,23 @@ class NWeightModel:
     def in_m_part(self, f) -> bool:
         return self.rho(f) > self.rho(self.one())
 
+    def sample_size(self, bound: int) -> int:
+        """len(elements(bound)), from the closed form, with nothing built."""
+        q = self.field.q
+        try:
+            n = len(self.basis_keys(bound))
+        except OverflowError:  # a range longer than sys.maxsize
+            raise SampleTooLarge(f"basis of bound {bound} has more than sys.maxsize keys")
+        if _spans_fully(q, n):
+            return q**n
+        return 1 + n * (q - 1) + n * (n - 1) // 2 * (q - 1) ** 2
+
     def elements(self, bound: int) -> list:
         """Sample: the full span of basis(bound) if small enough, otherwise
         every combination of at most two basis monomials.  Zero comes first."""
         basis = self.basis(bound)
         q = self.field.q
-        if q ** len(basis) <= _FULL_ENUM_LIMIT:
+        if _spans_fully(q, len(basis)):
             out = [self.zero()]
             for mono in basis:
                 new = []
@@ -198,8 +247,8 @@ class ConstantModel(_PolynomialAlgebra):
         self.c = c
         self.name = f"constant(c={c})"
 
-    def rho(self, f):
-        return NEG_INF if not f else self.c
+    def weight(self, key):
+        return self.c
 
 
 class IdealModel(_PolynomialAlgebra):
@@ -252,11 +301,8 @@ class LaurentModel(_ExponentAlgebra):
     def basis_keys(self, bound: int):
         return range(-bound, bound + 1)
 
-    def rho(self, f):
-        if not f:
-            return NEG_INF
-        lowest = f[0][0]
-        return -lowest if lowest < 0 else 0
+    def weight(self, key):
+        return -key if key < 0 else 0
 
 
 # ---------------------------------------------------------------------------
@@ -283,15 +329,13 @@ class CurveValuationModel(NWeightModel):
     def monomial_product(self, k1, k2):
         return self.curve.monomial(k1[0] + k2[0], k1[1] + k2[1]).support
 
-    def rho(self, f):
-        # the pole order of the support's worst monomial, from
-        # v_inf(x^a y^b) = -(a*q + b*(q+1)) and v_0(x^a y^b) = a + b*(q+1)
-        if not f:
-            return NEG_INF
+    def weight(self, key):
+        # the pole order of x^a y^b, from v_inf(x^a y^b) = -(a*q + b*(q+1))
+        # and v_0(x^a y^b) = a + b*(q+1)
+        a, b = key
         q = self.curve.q
-        if self.which == "rho":
-            return max(0, max(a * q + b * (q + 1) for (a, b), _ in f))
-        return max(0, max(-(a + b * (q + 1)) for (a, b), _ in f))
+        pole = a * q + b * (q + 1) if self.which == "rho" else -(a + b * (q + 1))
+        return max(0, pole)
 
     def show(self, f):
         return str(TwoPointFunction(self.curve, f))
@@ -314,6 +358,140 @@ def model_laurent(field: Field) -> LaurentModel:
 
 def model_curve(curve: HermitianCurve, which: str) -> CurveValuationModel:
     return CurveValuationModel(curve, which)
+
+
+# ---------------------------------------------------------------------------
+# rho of sums, multiples and products of sample elements
+
+
+class _SparseRows:
+    """rho of sums, multiples and products of `elements`, each formed in the
+    sparse algebra: the path of a model with its own rho, and the oracle of
+    `_WeightRows`."""
+
+    def __init__(self, model: NWeightModel, elements):
+        self.model, self.elements = model, elements
+        self.rhos = [model.rho(f) for f in elements]
+
+    def scaled_rhos(self, i: int) -> list:
+        """rho(lam * e_i) for lam = 1, ..., q-1."""
+        m, f = self.model, self.elements[i]
+        return [m.rho(m.scale(lam, f)) for lam in range(1, m.field.q)]
+
+    def sum_rhos(self, i: int) -> list:
+        """rho(e_i + e_j) for j = i, i+1, ..."""
+        m, f = self.model, self.elements[i]
+        return [m.rho(m.add(f, g)) for g in self.elements[i:]]
+
+    def product_rhos(self, i: int, js) -> list:
+        """rho(e_i * e_j) for j in js."""
+        m, f, el = self.model, self.elements[i], self.elements
+        return [m.rho(m.mul(f, el[j])) for j in js]
+
+    def lambdas(self, i: int, js, limit, strict: bool) -> list:
+        """For each j in js, the lam in 1..q-1, ascending, with rho(e_i -
+        lam*e_j) < limit (strict) or <= limit; e_i - lam*e_j is formed as
+        e_i + (-lam)*e_j."""
+        m, f = self.model, self.elements[i]
+        below = lt if strict else le
+        neg_units = [(lam, m.field.neg(lam)) for lam in range(1, m.field.q)]
+        return [
+            [lam for lam, minus in neg_units if below(m.rho(m.add(f, m.scale(minus, g))), limit)]
+            for g in [self.elements[j] for j in js]
+        ]
+
+
+class _WeightRows:
+    """The values of `_SparseRows`, read through the model's `weight` with no
+    element built: the path of a model whose rho is `NWeightModel.rho`.
+
+    Slots are the support keys in ascending weight.  Each lam*e_j is packed
+    into one int, `bits` bits per slot.  Two packed rows first differ, from
+    the top, in the heaviest slot where the elements differ, so rho(e_i -
+    lam*e_j) is the weight of the slot holding the top bit of P[e_i] ^
+    P[lam*e_j], and it is < limit iff the rows agree above the slots of
+    weight < limit.  rho(e_i * e_j) is the weight of the heaviest output key
+    whose coefficient, the sum of c * e_i[s1] * e_j[s2] over the key's
+    contributions (s1, s2, c) from `monomial_product`, is nonzero."""
+
+    def __init__(self, model: NWeightModel, elements):
+        F, weight = model.field, model.weight
+        keys = sorted({k for f in elements for k, _ in f}, key=lambda k: (weight(k), k))
+        slot = {k: s for s, k in enumerate(keys)}
+        self.field, self.weights = F, [weight(k) for k in keys]
+        self.bits = bits = (F.q - 1).bit_length()
+        # the weight of the slot holding bit L-1, for a packed row of bit length L
+        self.top_weight = [NEG_INF] + [w for w in self.weights for _ in range(bits)]
+        self.terms = [[(slot[k], c) for k, c in f] for f in elements]
+        self.packed = [None] + [
+            [sum(F.mul(lam, c) << bits * s for s, c in terms) for terms in self.terms]
+            for lam in range(1, F.q)
+        ]
+        self.rhos = [self.top_weight[p.bit_length()] for p in self.packed[1]]
+        self.tops: dict = {}  # cut -> j -> {lam*e_j above the cut: (lam, ...)}
+        self.dense = [[0] * len(keys) for _ in elements]
+        for row, terms in zip(self.dense, self.terms):
+            for s, c in terms:
+                row[s] = c
+        contributions: dict = {}
+        for s1, k1 in enumerate(keys):
+            for s2, k2 in enumerate(keys):
+                for k, c in model.monomial_product(k1, k2):
+                    contributions.setdefault(k, []).append((s1, s2, c))
+        heaviest = sorted(contributions, key=lambda k: (-weight(k), k))
+        self.levels = [(weight(k), contributions[k]) for k in heaviest]
+
+    def scaled_rhos(self, i: int) -> list:
+        top = self.top_weight
+        return [top[row[i].bit_length()] for row in self.packed[1:]]
+
+    def sum_rhos(self, i: int) -> list:
+        top, p = self.top_weight, self.packed[1][i]
+        return [top[(p ^ x).bit_length()] for x in self.packed[self.field.neg(1)][i:]]
+
+    def lambdas(self, i: int, js, limit, strict: bool) -> list:
+        if strict and limit == NEG_INF:
+            return [()] * len(js)
+        cut = self.bits * (bisect_left if strict else bisect_right)(self.weights, limit)
+        tables = self.tops.setdefault(cut, {})
+        for j in js:
+            if j not in tables:
+                table = tables[j] = {}
+                for lam in range(1, self.field.q):
+                    top = self.packed[lam][j] >> cut
+                    table[top] = table.get(top, ()) + (lam,)
+        mine = self.packed[1][i] >> cut
+        return [tables[j].get(mine, ()) for j in js]
+
+    def product_rhos(self, i: int, js) -> list:
+        add, mul = self.field.add, self.field.mul
+        f = dict(self.terms[i])
+        plan = []  # (weight, [(s2, c * e_i[s1])]) per output key that e_i reaches
+        for w, contributions in self.levels:
+            terms = [(s2, mul(c, f[s1])) for s1, s2, c in contributions if s1 in f]
+            if terms:
+                plan.append((w, terms))
+        out = []
+        for j in js:
+            g, r = self.dense[j], NEG_INF
+            for w, terms in plan:
+                total = 0
+                for s2, a in terms:
+                    if g[s2]:
+                        total = add(total, mul(a, g[s2]))
+                if total:
+                    r = w
+                    break
+            out.append(r)
+        return out
+
+
+def _rows(model: NWeightModel, elements):
+    """`_WeightRows` when the model's rho is the generic weight maximum, else
+    `_SparseRows`.  The test is on rho, not on `weight`: a `NormalizedModel`
+    forwards its base model's `weight` but has its own rho."""
+    generic = getattr(type(model), "rho", None) is NWeightModel.rho
+    return (_WeightRows if generic else _SparseRows)(model, elements)
 
 
 # ---------------------------------------------------------------------------
@@ -365,23 +543,17 @@ class AxiomReport:
         return json.dumps(self.to_json(), sort_keys=True, default=str)
 
 
-def _canonical_reps(model: NWeightModel, sample):
-    """Leading-coefficient-1 representatives (plus zero), deduplicated in
-    first-occurrence order; the leading coefficient is that of the lowest
-    key."""
+def _canonical_reps(model: NWeightModel, sample) -> list[int]:
+    """Sample indices of the leading-coefficient-1 representatives (plus
+    zero), deduplicated in first-occurrence order; the leading coefficient
+    is that of the lowest key.  The sample is closed under scaling."""
     F = model.field
-    seen = {}
-    zero = model.zero()
-    reps = [zero]
-    seen[zero] = True
+    position = {f: i for i, f in enumerate(sample)}
+    reps = dict.fromkeys([position[model.zero()]])
     for f in sample:
-        if model.is_zero(f):
-            continue
-        g = model.scale(F.inv(f[0][1]), f)
-        if g not in seen:
-            seen[g] = True
-            reps.append(g)
-    return reps
+        if not model.is_zero(f):
+            reps.setdefault(position[model.scale(F.inv(f[0][1]), f)])
+    return list(reps)
 
 
 def _first_violation(rrhos, prodrho, strict, weak: bool):
@@ -422,16 +594,15 @@ def _first_violation(rrhos, prodrho, strict, weak: bool):
 def axiom_check(model: NWeightModel, bound: int) -> AxiomReport:
     """Exhaustively check (N0)-(N5), the order axioms (O3)/(O4), and the
     companion lemmas over the bounded sample."""
-    sample = model.elements(bound)
-    if len(sample) > _SAMPLE_CAP:
-        raise SampleTooLarge(f"sample has {len(sample)} elements (> {_SAMPLE_CAP})")
+    sample = _bounded_sample(model, bound)
     report = AxiomReport(model.describe(), bound, len(sample), model.show)
     F = model.field
     units = [c for c in range(1, F.q)]
     rho1 = model.rho(model.one())
     zero = model.zero()
+    rows = _rows(model, sample)
 
-    rhos = [float(model.rho(f)) for f in sample]
+    rhos = [float(r) for r in rows.rhos]
 
     # N0: rho(f) = -inf iff f = 0
     bad = next(
@@ -441,46 +612,47 @@ def axiom_check(model: NWeightModel, bound: int) -> AxiomReport:
 
     # N1: scalar invariance
     witness = None
-    for f, r in zip(sample, rhos):
-        for lam in units:
-            if model.rho(model.scale(lam, f)) != r:
-                witness = {"f": f, "lambda": lam}
-                break
-        if witness:
+    for i, (f, r) in enumerate(zip(sample, rhos)):
+        lam = next((lam for lam, rs in zip(units, rows.scaled_rhos(i)) if rs != r), None)
+        if lam is not None:
+            witness = {"f": f, "lambda": lam}
             break
     report.record("N1", witness is None, witness)
 
-    # N2 + Lemma 3.13(3): subadditivity of max, equality on distinct values
+    # N2 + Lemma 3.13(3): subadditivity of max, equality on distinct values;
+    # each row (f_i + f_j for j >= i) is flagged whole, and the first flagged
+    # j is the witness
     n2_witness = max_witness = None
     for i, f in enumerate(sample):
-        rf = rhos[i]
-        for j in range(i, len(sample)):
-            g = sample[j]
-            rg = rhos[j]
-            rsum = model.rho(model.add(f, g))
-            hi = max(rf, rg)
-            if rsum > hi and n2_witness is None:
-                n2_witness = {"f": f, "g": g, "rho(f+g)": rsum}
-            if rf != rg and rsum != hi and max_witness is None:
-                max_witness = {"f": f, "g": g, "rho(f+g)": rsum}
+        rf, rgs, sums = rhos[i], rhos[i:], rows.sum_rhos(i)
+        his = [rf if rf > rg else rg for rg in rgs]
+        over = list(map(gt, sums, his))
+        if n2_witness is None and True in over:
+            j = over.index(True)
+            n2_witness = {"f": f, "g": sample[i + j], "rho(f+g)": sums[j]}
+        off = list(map(and_, map(ne, rgs, repeat(rf)), map(ne, sums, his)))
+        if max_witness is None and True in off:
+            j = off.index(True)
+            max_witness = {"f": f, "g": sample[i + j], "rho(f+g)": sums[j]}
         if n2_witness and max_witness:
             break
     report.record("N2", n2_witness is None, n2_witness)
     report.record("lemma_max_rule", max_witness is None, max_witness)
 
-    # representatives and product-value matrix for triple-quantified axioms
+    # representatives (as sample indices) and product-value matrix for
+    # triple-quantified axioms
     if len(sample) <= _FULL_TRIPLE_LIMIT:
-        reps = list(sample)
+        idx = list(range(len(sample)))
     else:
-        reps = _canonical_reps(model, sample)
-    rrhos = [float(model.rho(f)) for f in reps]
+        idx = _canonical_reps(model, sample)
+    reps = [sample[i] for i in idx]
+    rrhos = [rhos[i] for i in idx]
     nrep = len(reps)
     prodrho = [[0.0] * nrep for _ in range(nrep)]
-    for i, f in enumerate(reps):
-        row = prodrho[i]
-        row[i] = float(model.rho(model.mul(f, f)))
-        for j in range(i + 1, nrep):
-            row[j] = prodrho[j][i] = float(model.rho(model.mul(f, reps[j])))
+    for a, i in enumerate(idx):
+        row = prodrho[a]
+        for b, r in enumerate(rows.product_rhos(i, idx[a:]), a):
+            row[b] = prodrho[b][a] = float(r)
     m_mask = [r > rho1 for r in rrhos]
     nonzero_mask = [r > NEG_INF for r in rrhos]
 
@@ -491,29 +663,26 @@ def axiom_check(model: NWeightModel, bound: int) -> AxiomReport:
         witness = hit and {"f": reps[hit[0]], "g": reps[hit[1]], "h": reps[hit[2]]}
         report.record(axiom, hit is None, witness)
 
-    # N4 (+ uniqueness of lambda) on M-pairs, O4 on all equal-rho pairs;
-    # f - lam*g is formed as f + (-lam)*g
-    neg_units = [(lam, F.neg(lam)) for lam in units]
+    # N4 (+ uniqueness of lambda) on M-pairs, O4 on all equal-rho pairs:
+    # the lam with rho(f - lam*g) < rho(f) = rho(g)
     n4_witness = unique_witness = o4_witness = None
     by_rho: dict[float, list] = {}
-    for f, r in zip(sample, rhos):
+    for i, r in enumerate(rhos):
         if r > NEG_INF:
-            by_rho.setdefault(r, []).append(f)
+            by_rho.setdefault(r, []).append(i)
     for r, group in sorted(by_rho.items()):
         in_m = r > rho1
-        for a in range(len(group)):
-            for b in range(a + 1, len(group)):
-                f, g = group[a], group[b]
-                lams = [
-                    lam
-                    for lam, minus_lam in neg_units
-                    if model.rho(model.add(f, model.scale(minus_lam, g))) < r
-                ]
+        for a, i in enumerate(group):
+            rest = group[a + 1 :]
+            for j, lams in zip(rest, rows.lambdas(i, rest, r, strict=True)):
+                if len(lams) == 1:  # the axioms hold for this pair
+                    continue
+                f, g = sample[i], sample[j]
                 if in_m:
                     if not lams and n4_witness is None:
                         n4_witness = {"f": f, "g": g, "rho": r}
                     if len(lams) > 1 and unique_witness is None:
-                        unique_witness = {"f": f, "g": g, "lambdas": lams}
+                        unique_witness = {"f": f, "g": g, "lambdas": list(lams)}
                 if not lams and o4_witness is None:
                     o4_witness = {"f": f, "g": g, "rho": r}
     report.record("N4", n4_witness is None, n4_witness)
@@ -590,7 +759,7 @@ class NormalizedModel(NWeightModel):
 
 
 def normalize(model: NWeightModel, bound: int) -> NormalizedModel:
-    sample = model.elements(bound)
+    sample = _bounded_sample(model, bound)
     m_values = [model.rho(f) for f in sample if not model.is_zero(f) and model.in_m_part(f)]
     if not m_values:
         raise TrivialModel("no non-unit elements in the sample")
@@ -605,13 +774,12 @@ def normalize(model: NWeightModel, bound: int) -> NormalizedModel:
 
 
 def filtration_check(model: NWeightModel, bound: int) -> dict:
-    sample = model.elements(bound)
+    sample = _bounded_sample(model, bound)
     nonzero = [f for f in sample if not model.is_zero(f)]
     if not any(model.in_m_part(f) for f in nonzero):
         raise TrivialModel("no non-unit elements in the sample")
-    F = model.field
-    units = list(range(1, F.q))
-    rhos = {f: model.rho(f) for f in nonzero}
+    rows = _rows(model, sample)
+    rhos = {f: r for f, r in zip(sample, rows.rhos) if not model.is_zero(f)}
     values = sorted({int(r) for r in rhos.values()})
     if values[0] != 0:
         values.insert(0, 0)
@@ -638,24 +806,20 @@ def filtration_check(model: NWeightModel, bound: int) -> dict:
         if iota(f) != i or rhos[f] != values[i]:
             failures.append({"check": "representative", "i": i, "f": model.show(f)})
 
-    # one-step growth: each new level is one-dimensional over the previous
+    # one-step growth: each new level is one-dimensional over the previous:
+    # exactly one lam with rho(f - lam*g) <= the previous level
     for i in range(len(values) - 1):
-        level = [f for f in nonzero if rhos[f] == values[i + 1]]
+        level = [j for j, r in enumerate(rows.rhos) if r == values[i + 1]]
         if not level:
             failures.append({"check": "level_nonempty", "i": i + 1})
             continue
-        for a in range(len(level)):
-            for b in range(a + 1, len(level)):
-                f, g = level[a], level[b]
-                lams = [
-                    lam
-                    for lam in units
-                    if model.rho(model.sub(f, model.scale(lam, g))) <= values[i]
-                ]
+        for a, j in enumerate(level):
+            rest = level[a + 1 :]
+            for k, lams in zip(rest, rows.lambdas(j, rest, values[i], strict=False)):
                 if len(lams) != 1:
                     failures.append(
-                        {"check": "one_step_growth", "f": model.show(f), "g": model.show(g),
-                         "lambdas": lams}
+                        {"check": "one_step_growth", "f": model.show(sample[j]),
+                         "g": model.show(sample[k]), "lambdas": list(lams)}
                     )
 
     # l(i, j) monotonicity and the n-weight product rule, via representatives

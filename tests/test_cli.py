@@ -181,6 +181,20 @@ def test_axioms_field_too_large(capsys, field):
     assert code == 1 and out == "" and err.startswith("error FieldTooLarge:")
 
 
+@pytest.mark.parametrize("argv", [
+    ("--model", "constant", "--bound", "2000"),
+    ("--model", "laurent", "--p", "3", "--bound", "2000"),
+    ("--model", "constant", "--bound", str(10**20)),
+])
+def test_axioms_sample_too_large(capsys, argv):
+    # the sample size is computed in closed form and refused before the
+    # sample is built
+    start = time.perf_counter()
+    code, out, err = run(capsys, "axioms", *argv)
+    assert time.perf_counter() - start < 2.0
+    assert code == 1 and out == "" and err.startswith("error SampleTooLarge:")
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "nonsense")[0] == 2
     assert run(capsys, "bound", "--profile", "x.json")[0] == 2  # missing --ell/--m

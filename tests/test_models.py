@@ -1,8 +1,17 @@
+import json
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nordcodes import models
-from nordcodes.errors import CoefficientOutOfRange, EmptyLevel, GIsConstant, TrivialModel
+from nordcodes.errors import (
+    CoefficientOutOfRange,
+    EmptyLevel,
+    GIsConstant,
+    NordError,
+    SampleTooLarge,
+    TrivialModel,
+)
 from nordcodes.field import make_field
 from nordcodes.hermitian import HermitianCurve
 from nordcodes.models import NEG_INF
@@ -335,6 +344,171 @@ def test_curve_algebra_matches_two_point_functions(case):
         if not f.is_zero():
             val = f.valuations()
             assert m.rho(a) == (val.rho if which == "rho" else val.sigma)
+
+
+# -- rows: rho of sums, multiples and products against the algebra ---------
+
+ROW_FIELDS = [make_field(2, 1), make_field(3, 1), make_field(2, 2), make_field(5, 1),
+              make_field(3, 2)]
+
+# (model, bound) for every model whose rho is the generic weight maximum
+WEIGHT_MODELS = [
+    *((models.model_constant(F, c), 3) for F in ROW_FIELDS for c in (0, 2)),
+    *((models.model_laurent(F), 2) for F in ROW_FIELDS),
+    *((models.model_curve(curve, which), 3) for curve in CURVES.values()
+      for which in ("rho", "sigma")),
+]
+
+
+@st.composite
+def _rows_case(draw):
+    """A weight model and a list of elements over its basis keys: zero
+    first, then random elements, repeats allowed (f + f = 0 in
+    characteristic 2)."""
+    model, bound = draw(st.sampled_from(WEIGHT_MODELS))
+    keys = list(model.basis_keys(bound))
+    element = st.dictionaries(st.sampled_from(keys), st.integers(1, model.field.q - 1),
+                              max_size=4).map(lambda d: tuple(sorted(d.items())))
+    elements = draw(st.lists(element, min_size=1, max_size=7))
+    if draw(st.booleans()):
+        elements.append(elements[0])
+    return model, [model.zero(), *elements]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rows_case())
+def test_rows_match_the_algebra(case):
+    model, elements = case
+    units = range(1, model.field.q)
+    n = len(elements)
+    for rows in (models._WeightRows(model, elements), models._SparseRows(model, elements)):
+        assert rows.rhos == [model.rho(f) for f in elements]
+        for i, f in enumerate(elements):
+            assert rows.scaled_rhos(i) == [model.rho(model.scale(lam, f)) for lam in units]
+            assert rows.sum_rhos(i) == [model.rho(model.add(f, g)) for g in elements[i:]]
+            assert rows.product_rhos(i, range(n)) == [model.rho(model.mul(f, g)) for g in elements]
+            for j, g in enumerate(elements):
+                diffs = [model.rho(model.sub(f, model.scale(lam, g))) for lam in units]
+                for limit in {NEG_INF, *diffs, *(r + 0.5 for r in diffs)}:
+                    for strict in (True, False):
+                        want = [lam for lam, r in zip(units, diffs)
+                                if (r < limit if strict else r <= limit)]
+                        assert list(rows.lambdas(i, [j], limit, strict)[0]) == want
+
+
+# -- which path a model takes -----------------------------------------------
+
+
+class AbsWeight(models.LaurentModel):
+    """weight |k|: rho(X - X^-1) = rho(X) = rho(X^-1) = 1 fails N4, and
+    X * X^-1 = 1 fails N5."""
+
+    def weight(self, key):
+        return abs(key)
+
+
+class ParityConstant(models.ConstantModel):
+    """weight 1 on odd degrees, c on even ones."""
+
+    def weight(self, key):
+        return 1 if key % 2 else self.c
+
+
+class CurveShifted(models.CurveValuationModel):
+    """weight a + 2b, unclamped and negative on some monomials."""
+
+    def weight(self, key):
+        return key[0] + 2 * key[1]
+
+
+class DoubledWeight(models.LaurentModel):
+    def weight(self, key):
+        return 2 * super().weight(key)
+
+
+def _forced_sparse(cls):
+    class Sparse(cls):
+        def rho(self, f):
+            return super().rho(f)
+
+    return Sparse
+
+
+def _outcome(fn):
+    try:
+        return json.dumps(fn(), sort_keys=True, default=str)
+    except NordError as exc:
+        return f"error {exc.name}: {exc}"
+
+
+WEIGHT_OVERRIDES = [
+    (AbsWeight, (F2,), 2),
+    (AbsWeight, (make_field(3, 1),), 2),
+    (AbsWeight, (F4,), 3),  # two-monomial sample
+    (AbsWeight, (make_field(7, 1),), 1),  # 343 elements: leading-coefficient-1 reps
+    (ParityConstant, (make_field(3, 1), 2), 3),
+    (CurveShifted, (HermitianCurve(2), "rho"), 2),
+    (CurveShifted, (HermitianCurve(2), "sigma"), 4),  # two-monomial sample
+]
+
+
+@pytest.mark.parametrize("cls,args,bound", WEIGHT_OVERRIDES,
+                         ids=[f"{c.__name__}-{i}" for i, (c, _, _) in enumerate(WEIGHT_OVERRIDES)])
+def test_weight_override_report_equals_sparse_path(cls, args, bound):
+    fast, slow = cls(*args), _forced_sparse(cls)(*args)
+    assert isinstance(models._rows(fast, []), models._WeightRows)
+    assert isinstance(models._rows(slow, []), models._SparseRows)
+    rep = models.axiom_check(fast, bound)
+    assert not all(rep.passed(a) for a in ("N3", "N4", "N5", "O3"))
+    assert rep.dumps() == models.axiom_check(slow, bound).dumps()
+    assert _outcome(lambda: models.filtration_check(fast, bound)) == _outcome(
+        lambda: models.filtration_check(slow, bound))
+
+
+def test_normalized_weight_model_takes_the_sparse_path(monkeypatch):
+    # NormalizedModel forwards the base model's `weight` but has its own rho
+    norm = models.normalize(DoubledWeight(F2), 3)
+    assert norm.divisor == 2 and hasattr(norm, "weight")
+    assert isinstance(models._rows(norm, []), models._SparseRows)
+    got = models.axiom_check(norm, 3).dumps(), _outcome(lambda: models.filtration_check(norm, 3))
+    monkeypatch.setattr(models, "_rows", models._SparseRows)
+    assert got == (models.axiom_check(norm, 3).dumps(),
+                   _outcome(lambda: models.filtration_check(norm, 3)))
+    # halving the doubled weight gives the Laurent model back
+    laurent = models.axiom_check(models.model_laurent(F2), 3).dumps()
+    assert json.loads(got[0])["results"] == json.loads(laurent)["results"]
+
+
+# -- bounded samples --------------------------------------------------------
+
+
+@pytest.mark.parametrize("model,bounds", [
+    (models.model_constant(F2, 1), range(0, 14)),  # full span up to 2^12
+    (models.model_laurent(make_field(3, 1)), range(0, 5)),
+    (models.model_laurent(make_field(3, 2)), range(0, 4)),
+    (models.model_ideal(F4, [0, 0, 1]), range(0, 5)),
+    (models.model_curve(HermitianCurve(2), "sigma"), range(-1, 6)),
+    (models.normalize(DoubledWeight(F2), 3), range(0, 5)),
+], ids=lambda v: getattr(v, "name", None))
+def test_sample_size_is_the_closed_form(model, bounds):
+    for bound in bounds:
+        assert model.sample_size(bound) == len(model.elements(bound))
+
+
+class NoBuild(models.ConstantModel):
+    def elements(self, bound):
+        raise AssertionError("the sample was built")
+
+
+@pytest.mark.parametrize("check", [models.axiom_check, models.filtration_check,
+                                   models.normalize])
+def test_oversized_sample_refused_before_it_is_built(check):
+    m = NoBuild(F2, 1)
+    assert m.sample_size(61) == 1954 <= models._SAMPLE_CAP  # 62 basis monomials
+    with pytest.raises(SampleTooLarge, match=r"^sample has 2017 elements \(> 2000\)$"):
+        check(m, 62)
+    with pytest.raises(SampleTooLarge):
+        check(m, 10**20)  # more basis keys than sys.maxsize
 
 
 # -- N3/O3: column minima against the full triple scan ----------------------
