@@ -21,7 +21,7 @@ from .bounds import (
     lemma62_diagnostic,
     bound_table,
 )
-from .hermitian import HermitianCurve, TwoPointFunction
+from .hermitian import HermitianCurve
 from .codes import LinearCode, build_C, build_E, evaluation_points, saturation_index
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "lemma62_diagnostic",
     "bound_table",
     "HermitianCurve",
-    "TwoPointFunction",
     "LinearCode",
     "build_C",
     "build_E",

@@ -91,7 +91,7 @@ def _cmd_bound(args) -> int:
             with open(args.csv, "w") as fh:
                 fh.write(text)
         else:
-            sys.stdout.write(text)
+            _emit(args, text)
         return 0
     dn = bounds.d_nord(prof, args.ell, args.m)
     dg = bounds.d_goppa(args.ell, args.m, prof.genus)

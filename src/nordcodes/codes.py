@@ -217,8 +217,7 @@ def basis_images(curve: HermitianCurve, count: int) -> list[list[int]]:
     """h_t = evaluation of the canonical good-basis function f_t, t = 0..count-1."""
     basis = _cache(curve).basis
     for t in range(len(basis), count):
-        ((key, _),) = curve.good_basis_function(t).support  # a monomial
-        basis.append(_image(curve, key))
+        basis.append(_image(curve, curve.good_basis_function(t)))
     return [list(h) for h in basis[:count]]
 
 

@@ -100,18 +100,6 @@ class UnsupportedQ(NordError):
     pass
 
 
-class ZeroFunction(NordError):
-    pass
-
-
-class PoleAtPoint(NordError):
-    pass
-
-
-class BoxTooSmall(NordError):
-    pass
-
-
 # codes
 class SearchTooLarge(NordError):
     pass

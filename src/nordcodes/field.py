@@ -104,7 +104,7 @@ def _default_modulus(p: int, k: int):
 class Field:
     """Immutable GF(p^k) with table-backed arithmetic on element indices."""
 
-    def __init__(self, p: int, k: int, modulus=None):
+    def __init__(self, p: int, k: int):
         if k < 1:
             raise NotPrime(f"extension degree must be >= 1, got {k}")
         # before the primality test, and p^k only for small k, so that a huge
@@ -114,18 +114,10 @@ class Field:
         if not _is_prime(p):
             raise NotPrime(f"{p} is not prime")
         q = p**k
-        if modulus is None:
-            modulus = _default_modulus(p, k)
-        else:
-            modulus = tuple(c % p for c in modulus)
-            if len(modulus) != k + 1 or modulus[-1] != 1:
-                raise ReduciblePolynomial("modulus must be monic of degree k")
-            if not _is_irreducible(modulus, p):
-                raise ReduciblePolynomial(f"modulus {modulus} is reducible over GF({p})")
         self.p = p
         self.k = k
         self.q = q
-        self.modulus = modulus
+        self.modulus = _default_modulus(p, k)
         self._build_tables()
 
     # index <-> coefficient tuple
@@ -253,7 +245,7 @@ class Field:
 
 
 @lru_cache(maxsize=None)
-def make_field(p: int, k: int, modulus=None) -> Field:
-    """Build (and cache) GF(p^k); modulus defaults to the lexicographically
-    smallest monic irreducible of degree k, coefficients compared low-to-high."""
-    return Field(p, k, modulus)
+def make_field(p: int, k: int) -> Field:
+    """Build (and cache) GF(p^k), modulo the lexicographically smallest monic
+    irreducible of degree k, coefficients compared low-to-high."""
+    return Field(p, k)

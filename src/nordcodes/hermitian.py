@@ -1,38 +1,24 @@
 """The Hermitian curve y^q + y = x^(q+1) over GF(q^2) with the two marked
 points Q1 = the point at infinity and Q2 = (0, 0).
 
-Functions regular outside {Q1, Q2} are represented as reduced monomial
-combinations x^a y^b with 0 <= a <= q and b in Z; the relation
-x^(q+1) = y^q + y is applied eagerly, so distinct stored monomials have
-pairwise distinct valuations at both points and every valuation is the
-support minimum.
+A function regular outside {Q1, Q2} is a combination of monomials x^a y^b
+with 0 <= a <= q and b in Z.  Its support is a tuple of ((a, b),
+coefficient index) pairs sorted by the monomial key (a, b).  `reduce`
+applies the relation x^(q+1) = y^q + y, so distinct keys have pairwise
+distinct valuations at both points, and the pole orders of a support are
+the largest `pole_orders` over its keys.  The algebra on supports is
+`models.CurveValuationModel`.
 
 For a monomial x^a y^b:  v_inf = -(a*q + b*(q+1)),  v_0 = a + b*(q+1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import BoxTooSmall, PoleAtPoint, UnsupportedQ, ZeroFunction
+from .errors import UnsupportedQ
 from .field import Field, make_field
 from .semigroup import GoodBasisProfile, NumericalSemigroup, TwoPointSemigroup, ns_from_generators
 
 _SUPPORTED_Q = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1)}
-
-
-@dataclass(frozen=True)
-class ValuationPair:
-    v_inf: int
-    v_zero: int
-
-    @property
-    def rho(self) -> int:
-        return max(0, -self.v_inf)
-
-    @property
-    def sigma(self) -> int:
-        return max(0, -self.v_zero)
 
 
 class HermitianCurve:
@@ -56,51 +42,58 @@ class HermitianCurve:
                     pts.append((x, y))
         return pts
 
-    # -- monomial bookkeeping -------------------------------------------
+    # -- monomials -------------------------------------------------------
 
-    def monomial_valuations(self, a: int, b: int) -> ValuationPair:
+    def reduce(self, raw: dict) -> tuple:
+        """The key-sorted support of sum c * x^a y^b over raw = {(a, b): c},
+        any a >= 0, with x^(q+1) = y^q + y applied until every a <= q."""
+        F, q = self.field, self.q
+        acc: dict[tuple[int, int], int] = {}
+        stack = list(raw.items())
+        while stack:
+            (a, b), c = stack.pop()
+            if c == 0:
+                continue
+            if a > q:
+                stack.append(((a - q - 1, b + q), c))
+                stack.append(((a - q - 1, b + 1), c))
+                continue
+            key = (a, b)
+            acc[key] = F.add(acc.get(key, 0), c)
+        return tuple(sorted((k, v) for k, v in acc.items() if v != 0))
+
+    def pole_orders(self, key: tuple[int, int]) -> tuple[int, int]:
+        """(rho, sigma) of x^a y^b, key = (a, b): the pole orders at Q1 and
+        Q2, max(0, -v_inf) and max(0, -v_0)."""
+        a, b = key
         q = self.q
-        return ValuationPair(-(a * q + b * (q + 1)), a + b * (q + 1))
-
-    def function(self, support: dict) -> "TwoPointFunction":
-        return TwoPointFunction.make(self, support)
-
-    def zero_function(self) -> "TwoPointFunction":
-        return TwoPointFunction(self, ())
-
-    def one_function(self) -> "TwoPointFunction":
-        return TwoPointFunction(self, (((0, 0), 1),))
-
-    def monomial(self, a: int, b: int, coeff: int = 1) -> "TwoPointFunction":
-        return TwoPointFunction.make(self, {(a, b): coeff})
+        return max(0, a * q + b * (q + 1)), max(0, -(a + b * (q + 1)))
 
     # -- Riemann-Roch spaces --------------------------------------------
 
-    def riemann_roch_basis(self, ell: int, m: int) -> list[tuple[int, int]]:
-        """Monomial keys (a, b) spanning {h : rho(h) <= ell, sigma(h) <= m};
-        negative ell or m means forced vanishing at the corresponding point."""
+    def _b_bounds(self, ell: int, m: int):
+        """(a, lowest b, highest b) of the keys with rho <= ell and sigma <= m,
+        for a = 0..q; negative ell or m means forced vanishing at the
+        corresponding point."""
         q = self.q
-        keys = []
         for a in range(q + 1):
             # a*q + b*(q+1) <= ell  and  a + b*(q+1) >= -m
-            b_hi = (ell - a * q) // (q + 1)
-            b_lo = -((m + a) // (q + 1))
-            for b in range(b_lo, b_hi + 1):
-                keys.append((a, b))
-        keys.sort()
-        return keys
+            yield a, -((m + a) // (q + 1)), (ell - a * q) // (q + 1)
 
-    def two_point_semigroup(self, box: int | None = None) -> TwoPointSemigroup:
-        """Gap pairs of H(Q1, Q2) via the dimension-jump criterion."""
-        need = 2 * self.genus
-        if box is None:
-            box = need + 1
-        if box < need:
-            raise BoxTooSmall(f"box must cover [0, {need}]^2")
+    def riemann_roch_basis(self, ell: int, m: int) -> list[tuple[int, int]]:
+        """Monomial keys (a, b) spanning {h : rho(h) <= ell, sigma(h) <= m},
+        sorted."""
+        return sorted((a, b) for a, lo, hi in self._b_bounds(ell, m) for b in range(lo, hi + 1))
 
-        def dim(a, b):
-            return len(self.riemann_roch_basis(a, b))
+    def riemann_roch_dimension(self, ell: int, m: int) -> int:
+        """len(riemann_roch_basis(ell, m)), in O(q) with nothing listed."""
+        return sum(max(0, hi - lo + 1) for _, lo, hi in self._b_bounds(ell, m))
 
+    def two_point_semigroup(self) -> TwoPointSemigroup:
+        """Gap pairs of H(Q1, Q2) via the dimension-jump criterion on the box
+        [0, 2*genus + 1]^2, which holds every gap pair."""
+        box = 2 * self.genus + 1
+        dim = self.riemann_roch_dimension
         gaps = set()
         for alpha in range(box + 1):
             for beta in range(box + 1):
@@ -113,26 +106,24 @@ class HermitianCurve:
 
     # -- good basis ------------------------------------------------------
 
-    def good_basis_function(self, i: int) -> "TwoPointFunction":
-        """The unique reduced monomial with pole order i at Q1 and minimal
-        sigma; a = (-i) mod (q+1), b = (i - a*q) / (q+1)."""
+    def good_basis_function(self, i: int) -> tuple[int, int]:
+        """The key of the unique reduced monomial with pole order i at Q1 and
+        minimal sigma; a = (-i) mod (q+1), b = (i - a*q) / (q+1)."""
         q = self.q
         a = (-i) % (q + 1)
         b = (i - a * q) // (q + 1)
         assert a * q + b * (q + 1) == i
-        return self.monomial(a, b)
+        return a, b
 
-    def good_basis_g(self, j: int) -> "TwoPointFunction":
-        """The unique reduced monomial with pole order m_j at Q2 and no pole
-        at Q1 (m_j = j-th nongap of H(sigma))."""
+    def good_basis_g(self, j: int) -> tuple[int, int]:
+        """The key of the unique reduced monomial with pole order m_j at Q2
+        and no pole at Q1 (m_j = j-th nongap of H(sigma))."""
         m_j = self.sigma_semigroup().nth_nongap(j)
         q = self.q
         a = (-m_j) % (q + 1)
         b = (-m_j - a) // (q + 1)
-        f = self.monomial(a, b)
-        val = f.valuations()
-        assert val.v_zero == -m_j and val.v_inf >= 0
-        return f
+        assert self.pole_orders((a, b)) == (0, m_j)
+        return a, b
 
     def rho_semigroup(self) -> NumericalSemigroup:
         """H(Q1) = <q, q+1>."""
@@ -148,115 +139,8 @@ class HermitianCurve:
         gaps of H(Q1)."""
         entries = {}
         for i in sorted(self.rho_semigroup().gaps):
-            entries[i] = self.good_basis_function(i).valuations().sigma
+            entries[i] = self.pole_orders(self.good_basis_function(i))[1]
         return GoodBasisProfile.from_entries(entries)
 
     def __repr__(self):
         return f"HermitianCurve(q={self.q}, genus={self.genus}, n_points={len(self.points)})"
-
-
-class TwoPointFunction:
-    """Reduced monomial combination sum c_ab * x^a * y^b, 0 <= a <= q."""
-
-    __slots__ = ("curve", "support")
-
-    def __init__(self, curve: HermitianCurve, support):
-        self.curve = curve
-        self.support = tuple(sorted(support))  # ((a, b), coeff index), reduced
-
-    @classmethod
-    def make(cls, curve: HermitianCurve, raw: dict) -> "TwoPointFunction":
-        F, q = curve.field, curve.q
-        acc: dict[tuple[int, int], int] = {}
-        stack = list(raw.items())
-        while stack:
-            (a, b), c = stack.pop()
-            if c == 0:
-                continue
-            if a > q:
-                # x^(q+1) = y^q + y
-                stack.append(((a - q - 1, b + q), c))
-                stack.append(((a - q - 1, b + 1), c))
-                continue
-            key = (a, b)
-            acc[key] = F.add(acc.get(key, 0), c)
-        return cls(curve, tuple((k, v) for k, v in acc.items() if v != 0))
-
-    def is_zero(self) -> bool:
-        return not self.support
-
-    def __eq__(self, other):
-        return isinstance(other, TwoPointFunction) and self.support == other.support
-
-    def __hash__(self):
-        return hash(self.support)
-
-    def __add__(self, other: "TwoPointFunction") -> "TwoPointFunction":
-        F = self.curve.field
-        acc = dict(self.support)
-        for key, c in other.support:
-            acc[key] = F.add(acc.get(key, 0), c)
-        return TwoPointFunction(self.curve, tuple((k, v) for k, v in acc.items() if v != 0))
-
-    def __neg__(self) -> "TwoPointFunction":
-        F = self.curve.field
-        return TwoPointFunction(self.curve, tuple((k, F.neg(v)) for k, v in self.support))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, coeff: int) -> "TwoPointFunction":
-        F = self.curve.field
-        if coeff == 0:
-            return self.curve.zero_function()
-        return TwoPointFunction(self.curve, tuple((k, F.mul(v, coeff)) for k, v in self.support))
-
-    def __mul__(self, other: "TwoPointFunction") -> "TwoPointFunction":
-        F = self.curve.field
-        raw: dict[tuple[int, int], int] = {}
-        out: dict[tuple[int, int], int] = {}
-        for (a1, b1), c1 in self.support:
-            for (a2, b2), c2 in other.support:
-                key = (a1 + a2, b1 + b2)
-                raw[key] = F.add(raw.get(key, 0), F.mul(c1, c2))
-        return TwoPointFunction.make(self.curve, raw)
-
-    def valuations(self) -> ValuationPair:
-        if self.is_zero():
-            raise ZeroFunction("the zero function has no valuation")
-        curve = self.curve
-        vals = [curve.monomial_valuations(a, b) for (a, b), _ in self.support]
-        return ValuationPair(min(v.v_inf for v in vals), min(v.v_zero for v in vals))
-
-    def evaluate(self, point: tuple[int, int]) -> int:
-        """Value at an affine point, as a field index."""
-        F = self.curve.field
-        x, y = point
-        if y == 0 and any(b < 0 for (_, b), _ in self.support):
-            raise PoleAtPoint(f"denominator y vanishes at {point}")
-        total = 0
-        for (a, b), c in self.support:
-            term = F.mul(F.pow(x, a), F.pow(y, b) if b >= 0 else F.pow(F.inv(y), -b))
-            total = F.add(total, F.mul(c, term))
-        return total
-
-    # -- text form: "c*x^a*y^b" terms joined by "+" ----------------------
-
-    def __str__(self):
-        if self.is_zero():
-            return "0"
-        return "+".join(f"{c}*x^{a}*y^{b}" for (a, b), c in self.support)
-
-    @classmethod
-    def parse(cls, curve: HermitianCurve, text: str) -> "TwoPointFunction":
-        text = text.strip()
-        if text == "0":
-            return curve.zero_function()
-        raw = {}
-        for term in text.split("+"):
-            c_part, x_part, y_part = term.strip().split("*")
-            c = int(c_part)
-            a = int(x_part.split("^")[1])
-            b = int(y_part.split("^")[1])
-            raw[(a, b)] = curve.field.add(raw.get((a, b), 0), c)
-        return cls.make(curve, raw)

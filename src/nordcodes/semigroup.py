@@ -28,6 +28,7 @@ from .errors import (
 
 
 MAX_LARGEST_GAP = 1 << 20  # admits <1000, 1001>, whose largest gap is 998999
+MAX_CLOSURE_CELLS = 1 << 20  # the Hermitian semigroups need 4 (q=2) to 4003 (q=5)
 
 
 def _require_size(largest_gap: int):
@@ -181,7 +182,13 @@ class TwoPointSemigroup:
             raise ZeroExcludedViolation("gap pairs must be nonnegative")
         # componentwise closure: every decomposition of a gap must use a gap.
         # Summands of a gap are dominated by it, so checking below each gap
-        # is exhaustive.
+        # is exhaustive; the boxes below the gaps are counted before the walk.
+        cells = sum((ga + 1) * (gb + 1) for ga, gb in self.gapset)
+        if cells > MAX_CLOSURE_CELLS:
+            raise SemigroupTooLarge(
+                f"the closure check would walk {cells} cells below the gap pairs, "
+                f"above the cap {MAX_CLOSURE_CELLS}"
+            )
         for ga, gb in self.gapset:
             for xa in range(ga + 1):
                 for xb in range(gb + 1):

@@ -113,6 +113,17 @@ def test_bound_table_csv(hyper2_profile, tmp_path, capsys):
     assert len(lines) == 4
 
 
+def test_bound_table_out(hyper2_profile, tmp_path, capsys):
+    argv = ("bound", "--profile", hyper2_profile, "--ell", "0", "--m", "0",
+            "--table", "--ell-range", "2..4", "--m-range", "3..3")
+    code, table, _ = run(capsys, *argv)
+    assert code == 0 and table.startswith("ell,m,")
+    out_path = tmp_path / "table.csv"
+    code, out, _ = run(capsys, *argv, "--out", str(out_path))
+    assert code == 0 and out == ""
+    assert out_path.read_text() == table
+
+
 def test_curve_info(capsys):
     code, out, _ = run(capsys, "curve", "info", "--q", "2")
     assert code == 0
@@ -165,6 +176,19 @@ def test_negative_ell(hyper2_profile, capsys):
 def test_semigroup_too_large(capsys):
     # refused from the generators alone, before any table is built
     code, out, err = run(capsys, "semigroup", "--generators", "100000,100001")
+    assert code == 1 and out == "" and err.startswith("error SemigroupTooLarge:")
+
+
+@pytest.mark.parametrize("command", [("semigroup", "--from-file"), ("profile", "--semigroup")],
+                         ids=["semigroup", "profile"])
+def test_two_point_semigroup_too_large(tmp_path, capsys, command):
+    # the boxes below the gap pairs hold about 8 million cells: refused
+    # before the closure check walks them
+    path = tmp_path / "gaps.json"
+    path.write_text(json.dumps({"gaps": [[i, 0] for i in range(1, 4001)]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, *command, str(path))
+    assert time.perf_counter() - start < 1.0
     assert code == 1 and out == "" and err.startswith("error SemigroupTooLarge:")
 
 
@@ -287,6 +311,33 @@ def test_semigroup_file_malformed(tmp_path, capsys, argv, text):
     assert code == 1 and out == "" and err.startswith("error MalformedSemigroup:")
 
 
+def _child_env():
+    """The environment of a child process that imports nordcodes from src."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+
+
+def test_axioms_curve_basis_counted_not_listed():
+    """The Riemann-Roch basis of a huge curve bound is counted, not listed,
+    before the sample is refused: fast and with little memory."""
+    # VmHWM is the peak RSS of the child's own address space; getrusage's
+    # ru_maxrss would also hold the parent's RSS at the fork
+    script = (
+        "import re, time\n"
+        "from nordcodes.cli import main\n"
+        "start = time.perf_counter()\n"
+        "code = main(['axioms', '--model', 'curve-rho', '--bound', '1000000'])\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    kb = re.search(r'VmHWM:\\s*(\\d+)', fh.read()).group(1)\n"
+        "print(code, time.perf_counter() - start, int(kb) // 1024)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=_child_env(),
+                          capture_output=True, text=True)
+    code, seconds, rss_mb = proc.stdout.split()
+    assert code == "1" and proc.stderr.startswith("error SampleTooLarge:")
+    assert float(seconds) < 1.0 and int(rss_mb) < 64
+
+
 def test_startup_without_numpy(tmp_path):
     """No command imports numpy, the axiom checker included."""
     script = (
@@ -304,10 +355,8 @@ def test_startup_without_numpy(tmp_path):
         "assert main(['axioms', '--model', 'curve-rho', '--q', '2', '--bound', '2',"
         f" '--out', {str(tmp_path / 'a.json')!r}]) == 0"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     for body in ("import nordcodes", job, axioms_job):
-        proc = subprocess.run([sys.executable, "-c", script.format(body)], env=env,
+        proc = subprocess.run([sys.executable, "-c", script.format(body)], env=_child_env(),
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
     assert json.loads((tmp_path / "d.json").read_text())["d"] == 3

@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 from sympy import ZZ
 from sympy.polys.galoistools import gf_add, gf_irreducible_p, gf_mul, gf_neg, gf_rem, gf_strip
 
-from nordcodes.errors import DivisionByZero, FieldTooLarge, NotPrime, ReduciblePolynomial
+from nordcodes.errors import DivisionByZero, FieldTooLarge, NotPrime
 from nordcodes.field import MAX_FIELD_SIZE, Field, make_field
 
 
@@ -39,8 +39,6 @@ def test_enumerate():
 def test_validation_errors():
     with pytest.raises(NotPrime):
         Field(4, 1)
-    with pytest.raises(ReduciblePolynomial):
-        Field(2, 2, modulus=[1, 0, 1])  # (t+1)^2
     for p, k in ((2, 9), (257, 1), (2, 17)):
         with pytest.raises(FieldTooLarge):
             Field(p, k)

@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import curve_reference as ref
 from nordcodes import models
 from nordcodes.errors import (
     CoefficientOutOfRange,
@@ -64,9 +65,11 @@ def test_laurent_model_values():
 def test_curve_model_values():
     c2 = HermitianCurve(2)
     m = models.model_curve(c2, "rho")
-    assert m.rho(c2.monomial(1, 0).support) == 2  # x has pole order q at infinity
-    assert m.rho(c2.one_function().support) == 0
-    assert m.rho(c2.monomial(2, -1).support) == 1
+    assert m.rho(ref.monomial(c2, 1, 0).support) == 2  # x has pole order q at infinity
+    assert m.rho(ref.one(c2).support) == 0
+    assert m.rho(ref.monomial(c2, 2, -1).support) == 1
+    assert m.show((((0, 1), 3), ((2, -1), 1))) == "3*x^0*y^1+1*x^2*y^-1"  # 3y + x^2/y
+    assert m.show(m.zero()) == "0"
 
 
 # -- axiom checker ----------------------------------------------------------
@@ -217,8 +220,8 @@ def test_curve_pair_well_agreeing():
     sample = mr.elements(4)
     T = c2.two_point_semigroup()
     box = T.box
-    constants = {c2.zero_function().support} | {
-        c2.one_function().scale(lam).support for lam in range(1, c2.field.q)
+    constants = {ref.zero(c2).support} | {
+        ref.one(c2).scale(lam).support for lam in range(1, c2.field.q)
     }
     in_both_units = set()
     for f in sample:
@@ -229,7 +232,7 @@ def test_curve_pair_well_agreeing():
             assert pair in T, pair
         if pair == (0, 0):
             in_both_units.add(f)
-    assert in_both_units | {c2.zero_function().support} == constants
+    assert in_both_units | {ref.zero(c2).support} == constants
 
 
 def test_unit_part_closed_under_product():
@@ -326,7 +329,8 @@ def _curve_functions(draw):
     q, Q = curve.q, curve.field.q
     raw = st.dictionaries(
         st.tuples(st.integers(0, q), st.integers(-3, 3)), st.integers(1, Q - 1), max_size=4)
-    return curve, curve.function(draw(raw)), curve.function(draw(raw)), draw(st.integers(0, Q - 1))
+    f, g = ref.function(curve, draw(raw)), ref.function(curve, draw(raw))
+    return curve, f, g, draw(st.integers(0, Q - 1))
 
 
 @settings(max_examples=200, deadline=None)
