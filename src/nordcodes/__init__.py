@@ -1,51 +1,28 @@
 """Two-point evaluation codes on Hermitian curves, near-order functions and
-the n-order bound on the minimum distance."""
+the n-order bound on the minimum distance.
 
-from .field import Field, make_field
-from .semigroup import (
-    GoodBasisProfile,
-    NumericalSemigroup,
-    TwoPointSemigroup,
-    hyperelliptic_profile,
-    ns_from_generators,
-    tps_from_gapset,
-)
-from .bounds import (
-    capital_sigma,
-    d_goppa,
-    d_nord,
-    delta,
-    n_set,
-    n_set_size,
-    abc_decomposition,
-    lemma62_diagnostic,
-    bound_table,
-)
-from .hermitian import HermitianCurve
-from .codes import LinearCode, build_C, build_E, evaluation_points, saturation_index
+The exports below resolve on first use (PEP 562), so `import nordcodes`
+loads no submodule and a caller pays only for the layers it touches.
+"""
 
-__all__ = [
-    "Field",
-    "make_field",
-    "GoodBasisProfile",
-    "NumericalSemigroup",
-    "TwoPointSemigroup",
-    "hyperelliptic_profile",
-    "ns_from_generators",
-    "tps_from_gapset",
-    "capital_sigma",
-    "d_goppa",
-    "d_nord",
-    "delta",
-    "n_set",
-    "n_set_size",
-    "abc_decomposition",
-    "lemma62_diagnostic",
-    "bound_table",
-    "HermitianCurve",
-    "LinearCode",
-    "build_C",
-    "build_E",
-    "evaluation_points",
-    "saturation_index",
-]
+import importlib
+
+_EXPORTS = {
+    "field": ("Field", "make_field"),
+    "semigroup": ("GoodBasisProfile", "NumericalSemigroup", "TwoPointSemigroup",
+                  "hyperelliptic_profile", "ns_from_generators", "tps_from_gapset"),
+    "bounds": ("capital_sigma", "d_goppa", "d_nord", "delta", "n_set", "n_set_size",
+               "abc_decomposition", "lemma62_diagnostic", "bound_table"),
+    "hermitian": ("HermitianCurve",),
+    "codes": ("LinearCode", "build_C", "build_E", "evaluation_points", "saturation_index"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)

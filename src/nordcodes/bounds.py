@@ -12,12 +12,9 @@ the pairs themselves and is the reference the count is tested against.
 
 from __future__ import annotations
 
-import csv
-import io
-from dataclasses import dataclass
-
 from .errors import HypothesisNotMet, MBelowLambda, NegativeEll
 from .semigroup import GoodBasisProfile
+from .value import Value
 
 CSV_HEADER = ["ell", "m", "n_set_size", "d_nord", "d_goppa", "delta"]
 
@@ -40,11 +37,8 @@ def capital_sigma(profile: GoodBasisProfile, s: int) -> int:
     return prefix[min(s, len(prefix) - 1)]
 
 
-@dataclass(frozen=True)
-class NSet:
-    r: int
-    m: int
-    pairs: tuple[tuple[int, int], ...]  # lexicographic; i+j = r+1 throughout
+class NSet(Value):
+    _fields = ("r", "m", "pairs")  # pairs lexicographic; i+j = r+1 throughout
 
     def __len__(self):
         return len(self.pairs)
@@ -196,8 +190,5 @@ def bound_table(profile: GoodBasisProfile, ell_range, m_range) -> list[tuple]:
 
 
 def bound_table_csv(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    writer.writerows(rows)
-    return buf.getvalue()
+    """The table as CSV text; every cell is an int, so none needs quoting."""
+    return "".join(",".join(map(str, row)) + "\n" for row in [CSV_HEADER, *rows])

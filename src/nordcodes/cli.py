@@ -2,6 +2,10 @@
 
 Exit codes: 0 success, 1 validation/mathematical error, 2 usage error.
 All output is deterministic; repeated invocations are byte-identical.
+
+Each run is a fresh process, so start-up is much of a job's time: each handler
+imports only the layers it runs, and `bound` loads no `hermitian`, `codes`,
+`linalg` or `models`.
 """
 
 from __future__ import annotations
@@ -10,17 +14,7 @@ import argparse
 import json
 import sys
 
-from . import bounds, codes
 from .errors import NordError
-from .field import make_field
-from .hermitian import HermitianCurve
-from .semigroup import (
-    GoodBasisProfile,
-    TwoPointSemigroup,
-    hyperelliptic_profile,
-    ns_from_generators,
-    semigroup_from_json,
-)
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -59,28 +53,37 @@ def _read(path: str) -> bytes:
 
 
 def _cmd_semigroup(args) -> int:
+    from . import semigroup
+
     if args.generators:
-        out = ns_from_generators(args.generators).to_json()
+        out = semigroup.ns_from_generators(args.generators).to_json()
     elif args.curve_q:
+        from .hermitian import HermitianCurve
         out = HermitianCurve(args.curve_q).two_point_semigroup().to_json()
     else:
-        out = semigroup_from_json(_read(args.from_file)).to_json()
+        out = semigroup.semigroup_from_json(_read(args.from_file)).to_json()
     _emit(args, json.dumps(out, sort_keys=True) + "\n")
     return 0
 
 
 def _cmd_profile(args) -> int:
+    from . import semigroup
+
     if args.curve_q:
+        from .hermitian import HermitianCurve
         prof = HermitianCurve(args.curve_q).profile_closed_form()
     elif args.hyperelliptic_gamma:
-        prof = hyperelliptic_profile(args.hyperelliptic_gamma)
+        prof = semigroup.hyperelliptic_profile(args.hyperelliptic_gamma)
     else:
-        prof = TwoPointSemigroup.from_json(_read(args.semigroup)).profile()
+        prof = semigroup.TwoPointSemigroup.from_json(_read(args.semigroup)).profile()
     _emit(args, json.dumps(prof.to_json(), sort_keys=True) + "\n")
     return 0
 
 
 def _cmd_bound(args) -> int:
+    from . import bounds
+    from .semigroup import GoodBasisProfile
+
     prof = GoodBasisProfile.from_json(_read(args.profile))
     if args.table:
         ell_range = args.ell_range or _parse_range(str(args.ell))
@@ -107,6 +110,8 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_curve(args) -> int:
+    from .hermitian import HermitianCurve
+
     curve = HermitianCurve(args.q)
     if args.action == "info":
         prof = curve.profile_closed_form()
@@ -125,6 +130,9 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_code(args) -> int:
+    from . import codes
+    from .hermitian import HermitianCurve
+
     curve = HermitianCurve(args.q)
     if args.action == "build":
         _emit(args, codes.code_to_json(curve, args.ell, args.m) + "\n")
@@ -159,9 +167,8 @@ def _cmd_code(args) -> int:
 
 
 def _cmd_axioms(args) -> int:
-    # imported here, not at the top, so that the other commands do not load
-    # models and its imports: that keeps their start-up time and peak memory down
     from . import models
+    from .field import make_field
 
     field = make_field(args.p, args.k)
     if args.model == "constant":
@@ -171,6 +178,7 @@ def _cmd_axioms(args) -> int:
     elif args.model == "laurent":
         model = models.model_laurent(field)
     elif args.model in ("curve-rho", "curve-sigma"):
+        from .hermitian import HermitianCurve
         curve = HermitianCurve(args.q)
         model = models.model_curve(curve, args.model.split("-")[1])
     else:

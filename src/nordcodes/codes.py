@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import bounds, linalg
@@ -28,6 +27,7 @@ from .errors import (
 )
 from .field import Field
 from .hermitian import HermitianCurve
+from .value import Value
 
 _BRUTE_FORCE_CAP = 1 << 24
 _BLOCK = 1 << 10  # most codewords held at once by an enumeration
@@ -55,11 +55,8 @@ def _span(field: Field, rows, start):
             yield field.add_scaled_row(base, 1, w)
 
 
-@dataclass(frozen=True)
-class LinearCode:
-    field: Field
-    n: int
-    generator: tuple[tuple[int, ...], ...]  # row-reduced, independent rows
+class LinearCode(Value):
+    _fields = ("field", "n", "generator")  # generator: row-reduced, independent rows
 
     @property
     def k(self) -> int:
@@ -163,8 +160,13 @@ def evaluation_matrix(curve: HermitianCurve, ell: int, m: int) -> list[list[int]
 
 
 def build_E(curve: HermitianCurve, ell: int, m: int) -> LinearCode:
+    """E_ell^m, row-reduced.  By Riemann-Roch, E_ell^m = F^n once ell + m
+    >= n + 2*genus - 1, so the identity is returned with nothing listed."""
     _check_m(curve, m)
     n = len(_cache(curve).points)
+    if ell + m >= n + 2 * curve.genus - 1:
+        identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        return LinearCode(curve.field, n, identity)
     return LinearCode.from_rows(evaluation_matrix(curve, ell, m), curve.field, n)
 
 
@@ -204,10 +206,8 @@ def saturation_index(curve: HermitianCurve, m: int) -> int:
 # syndromes
 
 
-@dataclass(frozen=True)
-class SyndromeMatrix:
-    entries: tuple[tuple[int, ...], ...]  # (L+1) x (L+1) field indices
-    word: tuple[int, ...]
+class SyndromeMatrix(Value):
+    _fields = ("entries", "word")  # entries: (L+1) x (L+1) field indices
 
     def rank(self, field: Field) -> int:
         return linalg.rank([list(r) for r in self.entries], field)

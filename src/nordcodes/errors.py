@@ -95,6 +95,10 @@ class EmptyLevel(NordError):
     pass
 
 
+class NegativeRho(NordError):
+    pass
+
+
 # hermitian_curve
 class UnsupportedQ(NordError):
     pass

@@ -51,9 +51,9 @@ from itertools import repeat
 from math import gcd
 from operator import and_, gt, le, lt, ne
 
-from .errors import CoefficientOutOfRange, EmptyLevel, GIsConstant, SampleTooLarge, TrivialModel
+from .errors import (CoefficientOutOfRange, EmptyLevel, GIsConstant, NegativeRho,
+                     SampleTooLarge, TrivialModel)
 from .field import Field
-from .hermitian import HermitianCurve
 
 NEG_INF = float("-inf")
 
@@ -75,6 +75,13 @@ def _bounded_sample(model, bound: int) -> list:
     if size > _SAMPLE_CAP:
         raise SampleTooLarge(f"sample has {size} elements (> {_SAMPLE_CAP})")
     return model.elements(bound)
+
+
+def _require_nonnegative(model, sample, rhos):
+    """Refuse a nonzero element with rho < 0: the levels and the divisor start at 0."""
+    for f, r in zip(sample, rhos):
+        if r < 0 and not model.is_zero(f):
+            raise NegativeRho(f"rho({model.show(f)}) = {r} < 0")
 
 
 # ---------------------------------------------------------------------------
@@ -318,11 +325,12 @@ class LaurentModel(_ExponentAlgebra):
 
 class CurveValuationModel(NWeightModel):
     """rho (pole order at infinity) or sigma (pole order at the origin) on the
-    coordinate ring of a Hermitian curve; sample drawn from R_bound^bound."""
+    coordinate ring of a HermitianCurve `curve` (not imported here, so that
+    the other models load without it); sample drawn from R_bound^bound."""
 
     unit_key = (0, 0)
 
-    def __init__(self, curve: HermitianCurve, which: str):
+    def __init__(self, curve, which: str):
         if which not in ("rho", "sigma"):
             raise ValueError("which must be 'rho' or 'sigma'")
         super().__init__(curve.field)
@@ -364,7 +372,7 @@ def model_laurent(field: Field) -> LaurentModel:
     return LaurentModel(field)
 
 
-def model_curve(curve: HermitianCurve, which: str) -> CurveValuationModel:
+def model_curve(curve, which: str) -> CurveValuationModel:
     return CurveValuationModel(curve, which)
 
 
@@ -768,9 +776,9 @@ class NormalizedModel(NWeightModel):
 
 def normalize(model: NWeightModel, bound: int) -> NormalizedModel:
     sample = _bounded_sample(model, bound)
-    rho1 = model.rho(model.one())
-    m_values = [int(r) for f, r in zip(sample, _rows(model, sample).rhos)
-                if not model.is_zero(f) and r > rho1]
+    rho1, rhos = model.rho(model.one()), _rows(model, sample).rhos
+    _require_nonnegative(model, sample, rhos)
+    m_values = [int(r) for f, r in zip(sample, rhos) if not model.is_zero(f) and r > rho1]
     if not m_values:
         raise TrivialModel("no non-unit elements in the sample")
     d = 0
@@ -787,6 +795,7 @@ def filtration_check(model: NWeightModel, bound: int) -> dict:
     sample = _bounded_sample(model, bound)
     rows = _rows(model, sample)
     rhos, rho1 = rows.rhos, model.rho(model.one())
+    _require_nonnegative(model, sample, rhos)
     nonzero = [i for i, f in enumerate(sample) if not model.is_zero(f)]
     if not any(rhos[i] > rho1 for i in nonzero):
         raise TrivialModel("no non-unit elements in the sample")

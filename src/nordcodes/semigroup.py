@@ -9,7 +9,6 @@ column i; it is the only input the bound engine needs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import (
@@ -21,6 +20,7 @@ from .errors import (
     SemigroupTooLarge,
     ZeroExcludedViolation,
 )
+from .value import Value
 
 
 # ---------------------------------------------------------------------------
@@ -67,9 +67,8 @@ def _set_bits(v: int):
         i = bits.find("1", i + 1)
 
 
-@dataclass(frozen=True)
-class NumericalSemigroup:
-    gaps: frozenset[int]
+class NumericalSemigroup(Value):
+    _fields = ("gaps",)  # frozenset[int]
 
     def __post_init__(self):
         if 0 in self.gaps or any(g < 0 for g in self.gaps):
@@ -171,9 +170,8 @@ def ns_from_generators(gens: list[int]) -> NumericalSemigroup:
 # two-point semigroups
 
 
-@dataclass(frozen=True)
-class TwoPointSemigroup:
-    gapset: frozenset[tuple[int, int]]
+class TwoPointSemigroup(Value):
+    _fields = ("gapset",)  # frozenset[tuple[int, int]]
 
     def __post_init__(self):
         if (0, 0) in self.gapset:
@@ -265,22 +263,18 @@ def tps_from_gapset(pairs) -> TwoPointSemigroup:
 # good-basis profiles
 
 
-@dataclass(frozen=True)
-class GoodBasisProfile:
+class GoodBasisProfile(Value):
     """The map i -> sigma(f_i), stored sparsely on its nonzero entries.
 
     Keys are the gaps of H(rho), values the gaps of H(sigma), bijectively;
     the genus is the common number of gaps.
     """
 
-    genus: int
-    entries: tuple[tuple[int, int], ...]  # sorted (i, sigma(f_i)) pairs
-    _map: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
-    # Sigma(s) = max sigma(f_0..f_s) for s = 0..lambda_rho; lambda_sigma beyond
-    sigma_prefix: tuple = field(init=False, repr=False, compare=False, hash=False, default=())
+    _fields = ("genus", "entries")  # int; sorted (i, sigma(f_i)) pairs
 
     def __post_init__(self):
         object.__setattr__(self, "_map", dict(self.entries))
+        # Sigma(s) = max sigma(f_0..f_s) for s = 0..lambda_rho; lambda_sigma beyond
         top = max(self.lambda_rho, 0)
         _require_size(top)
         prefix, run = [], 0

@@ -1,0 +1,43 @@
+"""Immutable value objects, the base of the semigroup, bound and code records."""
+
+
+class Value:
+    """An immutable record of the fields named in `_fields`, given by
+    position or keyword.  `__post_init__` may validate them and set derived
+    attributes with `object.__setattr__`; equality, hash and repr read the
+    fields only.  Assignment raises AttributeError."""
+
+    _fields = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        values = dict(zip(names, args), **kwargs)
+        if len(values) != len(args) + len(kwargs) or sorted(values) != sorted(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+        for name in names:
+            object.__setattr__(self, name, values[name])
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

@@ -361,3 +361,111 @@ def test_startup_without_numpy(tmp_path):
         assert proc.returncode == 0, proc.stderr
     assert json.loads((tmp_path / "d.json").read_text())["d"] == 3
     assert json.loads((tmp_path / "a.json").read_text())["model"] == "curve(q=2, rho)"
+
+
+# Every branch of every subcommand, as a fresh interpreter would run it;
+# {tmp} is the directory of the input files written by `_startup_inputs`.
+STARTUP_BRANCHES = [
+    ("semigroup", "--generators", "3,4"),
+    ("semigroup", "--curve-q", "2"),
+    ("semigroup", "--from-file", "{tmp}/ns.json"),
+    ("profile", "--curve-q", "2"),
+    ("profile", "--hyperelliptic-gamma", "2"),
+    ("profile", "--semigroup", "{tmp}/tps.json"),
+    ("bound", "--profile", "{tmp}/prof.json", "--ell", "2", "--m", "3"),
+    ("bound", "--profile", "{tmp}/prof.json", "--ell", "0", "--m", "2", "--table",
+     "--ell-range", "0..4", "--m-range", "2..3"),
+    ("bound", "--profile", "{tmp}/prof.json", "--ell", "4", "--m", "3", "--diagnose"),
+    ("curve", "info", "--q", "2"),
+    ("curve", "points", "--q", "2"),
+    ("code", "build", "--q", "2", "--ell", "2", "--m", "1"),
+    ("code", "distance", "--q", "2", "--ell", "2", "--m", "1"),
+    ("code", "verify", "--q", "2", "--ell", "2", "--m", "1"),
+    ("axioms", "--model", "constant", "--c", "1", "--bound", "2"),
+    ("axioms", "--model", "ideal", "--bound", "2"),
+    ("axioms", "--model", "laurent", "--bound", "2"),
+    ("axioms", "--model", "curve-rho", "--bound", "2"),
+    ("axioms", "--model", "curve-sigma", "--bound", "2"),
+]
+
+# The child runs one command and then names, on its last stderr line, the
+# nordcodes modules it loaded and any of the modules no command may load.
+STARTUP_CHILD = (
+    "import sys\n"
+    "from nordcodes.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "loaded = [m for m in sys.modules if m.partition('.')[0] == 'nordcodes'"
+    " or m in ('dataclasses', 'inspect', 'csv')]\n"
+    "print(code, *sorted(loaded), file=sys.stderr)\n"
+)
+
+
+def _startup_inputs(tmp_path):
+    for name, argv in (("ns.json", ["semigroup", "--generators", "4,5,7"]),
+                       ("tps.json", ["semigroup", "--curve-q", "3"]),
+                       ("prof.json", ["profile", "--hyperelliptic-gamma", "2"])):
+        assert main([*argv, "--out", str(tmp_path / name)]) == 0
+
+
+@pytest.mark.parametrize("argv", STARTUP_BRANCHES, ids=" ".join)
+def test_startup_loads_only_the_command_layers(tmp_path, capsys, argv):
+    """Each command, in a fresh interpreter, prints what it prints in-process
+    and loads only the layers it runs: never dataclasses, inspect or csv."""
+    _startup_inputs(tmp_path)
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    code, expected, _ = run(capsys, *argv)
+    assert code == 0
+    proc = subprocess.run([sys.executable, "-c", STARTUP_CHILD, *argv], env=_child_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout == expected, proc.stderr
+    child_code, *loaded = proc.stderr.split("\n")[-2].split()
+    assert child_code == "0"
+    assert not {"dataclasses", "inspect", "csv"} & set(loaded)
+    layers = {m.removeprefix("nordcodes.") for m in loaded} - {"nordcodes", "cli", "errors"}
+    if argv[:2] == ["semigroup", "--generators"]:
+        assert layers == {"semigroup", "value"}
+    elif argv[0] == "bound":
+        assert layers == {"semigroup", "value", "bounds"}
+    elif argv[0] == "axioms" and not argv[2].startswith("curve"):
+        assert layers == {"field", "models"}
+
+
+def test_package_exports_resolve_lazily():
+    """`import nordcodes` loads no submodule; each export loads its own on
+    first use, and submodules import as before."""
+    script = (
+        "import sys\n"
+        "import nordcodes as n\n"
+        "assert [m for m in sys.modules if m.startswith('nordcodes.')] == []\n"
+        "assert n.HermitianCurve(2).genus == 1\n"
+        "assert 'nordcodes.codes' not in sys.modules\n"
+        "from nordcodes import codes, models, d_nord, hyperelliptic_profile\n"
+        "assert d_nord(hyperelliptic_profile(2), 2, 3) == 4\n"
+        "for name in n.__all__:\n"
+        "    module = sys.modules[getattr(n, name).__module__]\n"
+        "    assert getattr(module, name) is getattr(n, name), name\n"
+        "try:\n"
+        "    n.no_such_name\n"
+        "except AttributeError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('no AttributeError')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=_child_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (("code", "distance", "--q", "2", "--ell", "3000000", "--m", "1"), '"k": 0'),
+    (("code", "verify", "--q", "2", "--ell", "3000000", "--m", "1"), '"verdict": "PASS"'),
+    (("code", "build", "--q", "2", "--ell", "100000000", "--m", "1"), '"k": 7'),
+    (("code", "build", "--q", "2", "--ell", "1", "--m", "100000000"), '"k": 7'),
+])
+def test_code_on_saturated_sizes(capsys, argv, expected):
+    """Codes with ell + m >= n + 2*genus - 1 are the full space: built at once
+    from Riemann-Roch, however large ell or m."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == "" and expected in out
+    assert time.perf_counter() - start < 2.0

@@ -4,7 +4,7 @@ import time
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from curve_reference import monomial
 from nordcodes import codes
@@ -202,6 +202,27 @@ def test_saturation_index(c2):
     ]
     assert ranks == sorted(ranks)
     assert ranks[6] == 7 and ranks[5] < 7
+
+
+SMALL_CURVES = {q: HermitianCurve(q) for q in (2, 3)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(q=st.sampled_from([2, 3]), m_up=st.integers(0, 36), past=st.integers(-4, 5))
+@example(q=2, m_up=0, past=-2)  # E_5^1 is not yet F^7
+def test_saturated_build_E_is_the_listed_code(q, m_up, past):
+    """From ell + m = n + 2*genus - 1 on (past >= 0), build_E gives the
+    identity with no basis listed; on both sides of that line it equals the
+    RREF of the listed evaluation matrix."""
+    curve = SMALL_CURVES[q]
+    n, g = len(codes.evaluation_points(curve)), curve.genus
+    m = curve.profile_closed_form().lambda_sigma + m_up
+    ell = n + 2 * g - 1 + past - m
+    listed = codes.LinearCode.from_rows(codes.evaluation_matrix(curve, ell, m), curve.field, n)
+    assert codes.build_E(curve, ell, m) == listed
+    if past >= 0:
+        assert listed.k == n
+    assert codes.saturation_index(curve, m) <= max(0, n + 2 * g - 1 - m)
 
 
 @pytest.mark.parametrize("q,ms", [(2, (1, 2, 3)), (3, (5, 6, 8))])

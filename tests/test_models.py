@@ -9,6 +9,7 @@ from nordcodes.errors import (
     CoefficientOutOfRange,
     EmptyLevel,
     GIsConstant,
+    NegativeRho,
     NordError,
     SampleTooLarge,
     TrivialModel,
@@ -465,8 +466,15 @@ def test_weight_override_report_equals_sparse_path(cls, args, bound):
     rep = models.axiom_check(fast, bound)
     assert not all(rep.passed(a) for a in ("N3", "N4", "N5", "O3"))
     assert rep.dumps() == models.axiom_check(slow, bound).dumps()
-    assert _outcome(lambda: models.filtration_check(fast, bound)) == _outcome(
-        lambda: models.filtration_check(slow, bound))
+    outcomes = {_outcome(lambda m=m: models.filtration_check(m, bound)) for m in (fast, slow)}
+    assert len(outcomes) == 1
+    # the weight a + 2b of CurveShifted is negative on x/y: refused on both paths
+    negative = cls is CurveShifted
+    assert outcomes.pop().startswith("error NegativeRho:") == negative
+    if negative:
+        for model in (fast, slow):
+            with pytest.raises(NegativeRho):
+                models.normalize(model, bound)
 
 
 def test_normalized_weight_model_takes_the_sparse_path(monkeypatch):
