@@ -57,7 +57,7 @@ def _cmd_semigroup(args) -> int:
 
     if args.generators:
         out = semigroup.ns_from_generators(args.generators).to_json()
-    elif args.curve_q:
+    elif args.curve_q is not None:
         from .hermitian import HermitianCurve
         out = HermitianCurve(args.curve_q).two_point_semigroup().to_json()
     else:
@@ -69,10 +69,10 @@ def _cmd_semigroup(args) -> int:
 def _cmd_profile(args) -> int:
     from . import semigroup
 
-    if args.curve_q:
+    if args.curve_q is not None:
         from .hermitian import HermitianCurve
         prof = HermitianCurve(args.curve_q).profile_closed_form()
-    elif args.hyperelliptic_gamma:
+    elif args.hyperelliptic_gamma is not None:
         prof = semigroup.hyperelliptic_profile(args.hyperelliptic_gamma)
     else:
         prof = semigroup.TwoPointSemigroup.from_json(_read(args.semigroup)).profile()

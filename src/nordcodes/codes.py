@@ -18,7 +18,7 @@ import itertools
 import json
 from functools import cached_property
 
-from . import bounds, linalg
+from . import linalg
 from .errors import (
     MBelowLambda,
     SaturationNotReached,
@@ -242,6 +242,8 @@ def layer_membership(curve: HermitianCurve, ell: int, m: int, word) -> tuple[boo
 def verify_prop63(curve: HermitianCurve, ell: int, m: int, word) -> dict:
     """Check the zero/nonzero syndrome pattern for a word in the layer
     C_ell^m minus C_{ell+1}^m, and the rank bound rank S(y) >= #N_ell^m."""
+    from . import bounds
+
     _check_m(curve, m)
     in_l, in_l1 = layer_membership(curve, ell, m, word)
     if not in_l or in_l1:
@@ -280,6 +282,8 @@ def verify_prop63(curve: HermitianCurve, ell: int, m: int, word) -> dict:
 
 def verify_thm61(curve: HermitianCurve, ell: int, m: int) -> dict:
     """Brute-force d(C_ell^m) against the n-order and Goppa bounds."""
+    from . import bounds
+
     _check_m(curve, m)
     code = build_C(curve, ell, m)
     d_true = code.min_distance_bruteforce()

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from .errors import UnsupportedQ
 from .field import Field, make_field
-from .semigroup import GoodBasisProfile, NumericalSemigroup, TwoPointSemigroup, ns_from_generators
 
 _SUPPORTED_Q = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1)}
 
@@ -92,6 +91,8 @@ class HermitianCurve:
     def two_point_semigroup(self) -> TwoPointSemigroup:
         """Gap pairs of H(Q1, Q2) via the dimension-jump criterion on the box
         [0, 2*genus + 1]^2, which holds every gap pair."""
+        from .semigroup import TwoPointSemigroup
+
         box = 2 * self.genus + 1
         dim = self.riemann_roch_dimension
         gaps = set()
@@ -127,6 +128,8 @@ class HermitianCurve:
 
     def rho_semigroup(self) -> NumericalSemigroup:
         """H(Q1) = <q, q+1>."""
+        from .semigroup import ns_from_generators
+
         return ns_from_generators([self.q, self.q + 1])
 
     def sigma_semigroup(self) -> NumericalSemigroup:
@@ -137,6 +140,8 @@ class HermitianCurve:
     def profile_closed_form(self) -> GoodBasisProfile:
         """sigma-values of the canonical monomial good basis, keyed by the
         gaps of H(Q1)."""
+        from .semigroup import GoodBasisProfile
+
         entries = {}
         for i in sorted(self.rho_semigroup().gaps):
             entries[i] = self.pole_orders(self.good_basis_function(i))[1]

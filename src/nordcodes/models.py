@@ -7,40 +7,43 @@ graded by the Y-degree, and valuation adapters over a Hermitian curve.
 
 Every model is one sparse monomial algebra.  An element is a tuple of
 (monomial key, coefficient index) pairs sorted by key, with no zero
-coefficient.  The keys are degrees in F[t], exponents of X in the Laurent
-ring (Y^e is X^-e), and the reduced exponents (a, b) of x^a y^b on the
-curve.  `NWeightModel` implements the algebra once; a model supplies the
-hooks:
+coefficient, and rho(f) is the largest weight over its support
+(`NWeightModel.rho`, the only body of rho here).  The keys are degrees in
+F[t], exponents of X in the Laurent ring (Y^e is X^-e), and the reduced
+exponents (a, b) of x^a y^b on the curve.  A model supplies the hooks:
 
 * `basis_keys(bound)`: the monomials whose span is sampled, and
   `basis_count(bound)`, their number (the curve counts them unlisted);
 * `monomial_product(k1, k2)`: the product of two monomials, as an element
   (the key sum for F[t] and the Laurent ring, the reduced product on the
-  curve); `mul` caches it per model instance;
-* `weight(key)`, or a rho of its own: the generic `NWeightModel.rho` is the
-  largest weight over the support.  The weights are c (constant model),
-  max(0, -k) (Laurent) and the pole orders of x^a y^b from
-  `HermitianCurve.pole_orders` (curve rho and sigma).  `IdealModel` and
-  `NormalizedModel` define their own rho;
+  curve);
+* `weight(key)`: c (constant model), max(0, -k) (Laurent), the pole orders
+  of x^a y^b from `HermitianCurve.pole_orders` (curve rho and sigma), and
+  phi(base weight) for a `NormalizedModel`;
 * `show(f)`: how an element appears in reports: the dense low-to-high
   coefficient tuple in F[t], the pairs in the Laurent ring, and on the
   curve the "c*x^a*y^b" terms joined by "+" ("0" for zero).
 
-The checkers take rho of sums, multiples and products of sample elements
-from a rows object.  A model whose rho is the generic body (constant,
-Laurent, both curve adapters) gets `_WeightRows`, which reads these values
-from packed coefficient rows and monomial-product tables with no element
-built.  Any other model (ideal, normalized, a subclass overriding rho)
-gets `_SparseRows`, which forms each element in the algebra; it is also
-the test oracle of `_WeightRows`.
+`IdealModel` keys F[t] by the basis b_e = t^e (e < deg g), t^(e - deg g)*g,
+in which f = Q*g + R has R on the keys below deg g: weight 1 there and 0
+above gives rho(f) = 1 iff g does not divide f.
+
+The checkers read rho of sums, multiples and products of sample elements
+from `model.rows(elements)`: `_WeightRows`, which reads them from packed
+coefficient rows and monomial-product tables with no element built.  A
+subclass that overrides `rho` must hand rows of its own (the tests' sparse
+reference does); `NWeightModel.rows` refuses it with TypeError.
 
 All verdicts are exhaustive over a bounded, deterministically enumerated
 sample; nothing is probabilistic.  When the full coefficient space is too
-large the sample is every element supported on at most two basis monomials,
-and triple-quantified axioms run over leading-coefficient-1 representatives
-(equivalent under scalar invariance, which is itself checked exhaustively).
-`sample_size` gives the sample's size in closed form, and every checker
-refuses a sample above `_SAMPLE_CAP` with SampleTooLarge before building it.
+large the sample is every element supported on at most two basis monomials.
+The triple-quantified axioms (N3, O3, N5, no zero divisors) run over the
+first element, in sample order, of each scalar class {lam*f}: scaling
+changes neither rho(f) nor rho(f*h), so each predicate depends only on the
+classes, and the first witness over the whole sample is made of such
+elements.  `sample_size` gives the sample's size in closed form, and every
+checker refuses a sample above `_SAMPLE_CAP` with SampleTooLarge before
+building it.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ import json
 from bisect import bisect_left, bisect_right
 from itertools import repeat
 from math import gcd
-from operator import and_, gt, le, lt, ne
+from operator import and_, gt, ne
 
 from .errors import (CoefficientOutOfRange, EmptyLevel, GIsConstant, NegativeRho,
                      SampleTooLarge, TrivialModel)
@@ -59,7 +62,6 @@ NEG_INF = float("-inf")
 
 _FULL_ENUM_LIMIT = 4096
 _SAMPLE_CAP = 2000
-_FULL_TRIPLE_LIMIT = 260
 
 
 def _spans_fully(q: int, n: int) -> bool:
@@ -92,17 +94,15 @@ class NWeightModel:
     """An F-algebra with a value map rho, as a sparse monomial algebra.
 
     Concrete models define the hooks `basis_keys`, `monomial_product`,
-    `weight` (or their own `rho`) and `show`, the key `unit_key` of the
-    monomial 1, and `_order_key`, the sort key of the sample.  This class
-    defines none of them but the generic `rho`, so that `NormalizedModel`
-    finds its base model's."""
+    `weight` and `show`, the key `unit_key` of the monomial 1, and
+    `_order_key`, the sort key of the sample.  This class defines none of
+    them, so that `NormalizedModel` finds its base model's."""
 
     name: str
     field: Field
 
     def __init__(self, field: Field):
         self.field = field
-        self._products: dict = {}
 
     def zero(self):
         return ()
@@ -115,6 +115,18 @@ class NWeightModel:
         if not f:
             return NEG_INF
         return max(map(self.weight, [k for k, _ in f]))
+
+    def _weighs(self) -> bool:
+        """Whether rho is `NWeightModel.rho`, the largest weight."""
+        return type(self).rho is NWeightModel.rho
+
+    def rows(self, elements) -> _WeightRows:
+        """rho of sums, multiples and products of `elements`, for the
+        checkers.  A model whose rho is not the largest weight must hand
+        rows of its own."""
+        if not self._weighs():
+            raise TypeError(f"{type(self).__name__} defines its own rho but no rows")
+        return _WeightRows(self, elements)
 
     def add(self, f, g):
         # merge of two key-sorted supports
@@ -137,33 +149,11 @@ class NWeightModel:
                 j += 1
         return (*out, *f[i:], *g[j:])
 
-    def neg(self, f):
-        return self.scale(self.field.neg(1), f)
-
     def scale(self, lam: int, f):
         if lam == 0:
             return ()
         mul = self.field.mul
         return tuple((k, mul(lam, c)) for k, c in f)
-
-    def sub(self, f, g):
-        return self.add(f, self.neg(g))
-
-    def mul(self, f, g):
-        F = self.field
-        add, mul = F.add, F.mul
-        products = self._products
-        acc: dict = {}
-        for k1, c1 in f:
-            for k2, c2 in g:
-                prod = products.get((k1, k2))
-                if prod is None:
-                    prod = products[(k1, k2)] = self.monomial_product(k1, k2)
-                c = mul(c1, c2)
-                for k, m in prod:
-                    term = mul(c, m)
-                    acc[k] = add(acc[k], term) if k in acc else term
-        return tuple(sorted(kc for kc in acc.items() if kc[1]))
 
     def basis(self, bound: int) -> list:
         """Deterministic monomial spanning set for enumeration."""
@@ -267,7 +257,11 @@ class ConstantModel(_PolynomialAlgebra):
 
 class IdealModel(_PolynomialAlgebra):
     """rho(f) = 0 on the nonzero multiples of a fixed nonconstant g, else 1.
-    g is the dense low-to-high coefficient list."""
+    g is the dense low-to-high coefficient list.
+
+    Elements are in the basis b_e = t^e (e < d), t^(e-d) * g (e >= d) of
+    F[t], d = deg g, not in t-coordinates (for g = t^d the two agree): key
+    e has weight 1 below d and 0 from d up."""
 
     def __init__(self, field: Field, g):
         super().__init__(field)
@@ -280,28 +274,47 @@ class IdealModel(_PolynomialAlgebra):
         if len(g) < 2:
             raise GIsConstant("g must have degree >= 1")
         self.g = g
+        self.d = len(g) - 1
         self.name = f"ideal(g={list(g)})"
 
-    def _divisible(self, f) -> bool:
-        F = self.field
-        rem = list(self.show(f))
-        g = self.g
-        lead_inv = F.inv(g[-1])
-        while len(rem) >= len(g):
-            if rem[-1] == 0:
-                rem.pop()
-                continue
-            factor = F.mul(rem[-1], lead_inv)
-            shift = len(rem) - len(g)
-            for i, ci in enumerate(g):
-                rem[shift + i] = F.sub(rem[shift + i], F.mul(factor, ci))
-            rem.pop()
-        return not any(rem)
+    def weight(self, key):
+        return 1 if key < self.d else 0
 
-    def rho(self, f):
-        if not f:
-            return NEG_INF
-        return 0 if self._divisible(f) else 1
+    def _from_t(self, dense) -> tuple:
+        """The element with dense t-coefficients `dense`: divided by g, the
+        remainder on the keys below d, the quotient's t^k on key d + k."""
+        F, g, d = self.field, self.g, self.d
+        rem = list(dense)
+        quo = [0] * max(0, len(rem) - d)
+        lead_inv = F.inv(g[-1])
+        for k in reversed(range(len(quo))):
+            c = quo[k] = F.mul(rem[k + d], lead_inv)
+            for i, gi in enumerate(g):
+                rem[k + i] = F.sub(rem[k + i], F.mul(c, gi))
+        return (*((e, c) for e, c in enumerate(rem[:d]) if c),
+                *((d + k, c) for k, c in enumerate(quo) if c))
+
+    def basis(self, bound: int) -> list:
+        return [self._from_t([0] * e + [1]) for e in self.basis_keys(bound)]
+
+    def monomial_product(self, e1: int, e2: int):
+        # b_e1 * b_e2 = t^s * g^n: below d when n = 0, else t^s * g^(n-1) times g
+        d, g = self.d, self.g
+        n = (e1 >= d) + (e2 >= d)
+        s = e1 + e2 - n * d
+        if n == 0:
+            return self._from_t([0] * s + [1])
+        return tuple((d + s + i, c) for i, c in enumerate((1,) if n == 1 else g) if c)
+
+    def show(self, f):
+        # b_e has t-degree e, so the top key fixes the length
+        F, g, d = self.field, self.g, self.d
+        dense = [0] * (f[-1][0] + 1) if f else []
+        for e, c in f:
+            poly, shift = ((1,), e) if e < d else (g, e - d)
+            for i, gi in enumerate(poly, shift):
+                dense[i] = F.add(dense[i], F.mul(c, gi))
+        return tuple(dense)
 
 
 class LaurentModel(_ExponentAlgebra):
@@ -380,46 +393,9 @@ def model_curve(curve, which: str) -> CurveValuationModel:
 # rho of sums, multiples and products of sample elements
 
 
-class _SparseRows:
-    """rho of sums, multiples and products of `elements`, each formed in the
-    sparse algebra: the path of a model with its own rho, and the oracle of
-    `_WeightRows`."""
-
-    def __init__(self, model: NWeightModel, elements):
-        self.model, self.elements = model, elements
-        self.rhos = [model.rho(f) for f in elements]
-
-    def scaled_rhos(self, i: int) -> list:
-        """rho(lam * e_i) for lam = 1, ..., q-1."""
-        m, f = self.model, self.elements[i]
-        return [m.rho(m.scale(lam, f)) for lam in range(1, m.field.q)]
-
-    def sum_rhos(self, i: int) -> list:
-        """rho(e_i + e_j) for j = i, i+1, ..."""
-        m, f = self.model, self.elements[i]
-        return [m.rho(m.add(f, g)) for g in self.elements[i:]]
-
-    def product_rhos(self, i: int, js) -> list:
-        """rho(e_i * e_j) for j in js."""
-        m, f, el = self.model, self.elements[i], self.elements
-        return [m.rho(m.mul(f, el[j])) for j in js]
-
-    def lambdas(self, i: int, js, limit, strict: bool) -> list:
-        """For each j in js, the lam in 1..q-1, ascending, with rho(e_i -
-        lam*e_j) < limit (strict) or <= limit; e_i - lam*e_j is formed as
-        e_i + (-lam)*e_j."""
-        m, f = self.model, self.elements[i]
-        below = lt if strict else le
-        neg_units = [(lam, m.field.neg(lam)) for lam in range(1, m.field.q)]
-        return [
-            [lam for lam, minus in neg_units if below(m.rho(m.add(f, m.scale(minus, g))), limit)]
-            for g in [self.elements[j] for j in js]
-        ]
-
-
 class _WeightRows:
-    """The values of `_SparseRows`, read through the model's `weight` with no
-    element built: the path of a model whose rho is `NWeightModel.rho`.
+    """rho of sums, multiples and products of `elements`, read through the
+    model's `weight` with no element built.
 
     Slots are the support keys in ascending weight.  Each lam*e_j is packed
     into one int, `bits` bits per slot.  Two packed rows first differ, from
@@ -502,14 +478,6 @@ class _WeightRows:
         return out
 
 
-def _rows(model: NWeightModel, elements):
-    """`_WeightRows` when the model's rho is the generic weight maximum, else
-    `_SparseRows`.  The test is on rho, not on `weight`: a `NormalizedModel`
-    forwards its base model's `weight` but has its own rho."""
-    generic = getattr(type(model), "rho", None) is NWeightModel.rho
-    return (_WeightRows if generic else _SparseRows)(model, elements)
-
-
 # ---------------------------------------------------------------------------
 # axiom checking
 
@@ -559,17 +527,15 @@ class AxiomReport:
         return json.dumps(self.to_json(), sort_keys=True, default=str)
 
 
-def _canonical_reps(model: NWeightModel, sample) -> list[int]:
-    """Sample indices of the leading-coefficient-1 representatives (plus
-    zero), deduplicated in first-occurrence order; the leading coefficient
-    is that of the lowest key.  The sample is closed under scaling."""
-    F = model.field
-    position = {f: i for i, f in enumerate(sample)}
-    reps = dict.fromkeys([position[model.zero()]])
-    for f in sample:
-        if not model.is_zero(f):
-            reps.setdefault(position[model.scale(F.inv(f[0][1]), f)])
-    return list(reps)
+def _class_firsts(model: NWeightModel, sample) -> list[int]:
+    """The sample index of the first element of each scalar class {lam*f},
+    ascending.  A class is named by its member with coefficient 1 on the
+    lowest key."""
+    inv = model.field.inv
+    firsts: dict = {}
+    for i, f in enumerate(sample):
+        firsts.setdefault(model.scale(inv(f[0][1]), f) if f else f, i)
+    return list(firsts.values())
 
 
 def _first_violation(rrhos, prodrho, strict, weak: bool):
@@ -616,7 +582,7 @@ def axiom_check(model: NWeightModel, bound: int) -> AxiomReport:
     units = [c for c in range(1, F.q)]
     rho1 = model.rho(model.one())
     zero = model.zero()
-    rows = _rows(model, sample)
+    rows = model.rows(sample)
 
     rhos = [float(r) for r in rows.rhos]
 
@@ -655,12 +621,9 @@ def axiom_check(model: NWeightModel, bound: int) -> AxiomReport:
     report.record("N2", n2_witness is None, n2_witness)
     report.record("lemma_max_rule", max_witness is None, max_witness)
 
-    # representatives (as sample indices) and product-value matrix for
-    # triple-quantified axioms
-    if len(sample) <= _FULL_TRIPLE_LIMIT:
-        idx = list(range(len(sample)))
-    else:
-        idx = _canonical_reps(model, sample)
+    # product-value matrix of the scalar-class representatives (as sample
+    # indices) for the triple-quantified axioms
+    idx = _class_firsts(model, sample)
     reps = [sample[i] for i in idx]
     rrhos = [rhos[i] for i in idx]
     nrep = len(reps)
@@ -753,30 +716,38 @@ def axiom_check(model: NWeightModel, bound: int) -> AxiomReport:
 
 class NormalizedModel(NWeightModel):
     """Same algebra, rho divided by the sampled gcd on M and clamped to 0
-    on U.  The gcd is taken over the finite sample only.  Everything but
-    rho and the name (the field, the hooks, the product cache) is the base
+    on U.  The gcd is taken over the finite sample only.  The weight is
+    phi(base weight), phi(r) = 0 for r <= rho_base(1) and r // divisor
+    above; phi is monotone, so rho is phi(rho_base).  Everything but the
+    weight and the name (the field, the other hooks, the basis) is the base
     model's."""
 
     def __init__(self, base: NWeightModel, divisor: int):
         self.base = base
         self.divisor = divisor
+        self.unit_rho = base.rho(base.one())
         self.name = f"normalized({base.describe()}, d={divisor})"
 
     def __getattr__(self, attr):
         return getattr(self.base, attr)
 
-    def rho(self, f):
-        r = self.base.rho(f)
-        if r == NEG_INF:
-            return NEG_INF
-        if r <= self.base.rho(self.base.one()):
-            return 0
-        return r // self.divisor
+    def weight(self, key):
+        r = self.base.weight(key)
+        return 0 if r <= self.unit_rho else r // self.divisor
+
+    def _weighs(self) -> bool:
+        return self.base._weighs()
+
+    def basis(self, bound: int) -> list:
+        return self.base.basis(bound)
+
+    def basis_count(self, bound: int) -> int:
+        return self.base.basis_count(bound)
 
 
 def normalize(model: NWeightModel, bound: int) -> NormalizedModel:
     sample = _bounded_sample(model, bound)
-    rho1, rhos = model.rho(model.one()), _rows(model, sample).rhos
+    rho1, rhos = model.rho(model.one()), model.rows(sample).rhos
     _require_nonnegative(model, sample, rhos)
     m_values = [int(r) for f, r in zip(sample, rhos) if not model.is_zero(f) and r > rho1]
     if not m_values:
@@ -793,7 +764,7 @@ def normalize(model: NWeightModel, bound: int) -> NormalizedModel:
 
 def filtration_check(model: NWeightModel, bound: int) -> dict:
     sample = _bounded_sample(model, bound)
-    rows = _rows(model, sample)
+    rows = model.rows(sample)
     rhos, rho1 = rows.rhos, model.rho(model.one())
     _require_nonnegative(model, sample, rhos)
     nonzero = [i for i, f in enumerate(sample) if not model.is_zero(f)]

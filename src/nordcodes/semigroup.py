@@ -371,4 +371,5 @@ def hyperelliptic_profile(genus: int) -> GoodBasisProfile:
     """Profile with sigma(f_i) = i for i = 1..genus (hyperelliptic shape)."""
     if genus < 1:
         raise ProfileBijectionViolation("genus must be >= 1")
+    _require_size(genus)  # lambda_rho = genus: refused before the entries are built
     return GoodBasisProfile.from_entries({i: i for i in range(1, genus + 1)})

@@ -1,11 +1,13 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from nordcodes.cli import main
 from nordcodes.semigroup import (
@@ -428,6 +430,10 @@ def test_startup_loads_only_the_command_layers(tmp_path, capsys, argv):
         assert layers == {"semigroup", "value", "bounds"}
     elif argv[0] == "axioms" and not argv[2].startswith("curve"):
         assert layers == {"field", "models"}
+    elif argv[0] == "axioms":
+        assert "semigroup" not in layers
+    elif argv[:2] in (["code", "build"], ["code", "distance"]):
+        assert "bounds" not in layers
 
 
 def test_package_exports_resolve_lazily():
@@ -469,3 +475,111 @@ def test_code_on_saturated_sizes(capsys, argv, expected):
     code, out, err = run(capsys, *argv)
     assert code == 0 and err == "" and expected in out
     assert time.perf_counter() - start < 2.0
+
+
+# -- robustness guard: every argv ends in exit 0, 1 or 2, in bounded time ---
+
+# a bound on work, not a timing target: the slowest argv drawn here (an
+# `axioms` sample of about 1000 elements over GF(2)) takes under 2 s
+GUARD_SECONDS = 10.0
+
+
+class _RanTooLong(Exception):
+    pass
+
+
+def _alarm(signum, frame):
+    raise _RanTooLong
+
+
+@pytest.fixture(scope="module")
+def guard_dir(tmp_path_factory):
+    """Input files for path options: valid, malformed, a directory, missing."""
+    d = tmp_path_factory.mktemp("guard")
+    _startup_inputs(d)
+    (d / "text.json").write_text("not json")
+    (d / "gaps.json").write_text('{"gaps": [1, "a"], "entries": {"1": -4}}')
+    return d
+
+
+_INT = st.one_of(st.integers(-2, 9), st.sampled_from([10**3, 10**8])).map(str)
+_RANGE = st.tuples(st.integers(0, 12), st.integers(-1, 12)).map(lambda r: f"{r[0]}..{r[1]}")
+_PATH = st.sampled_from(["ns.json", "tps.json", "prof.json", "text.json", "gaps.json",
+                         "missing.json", ""]).map(lambda name: "{tmp}/" + name)
+_GENERATORS = st.lists(st.integers(-1, 12), min_size=1, max_size=3).map(
+    lambda g: ",".join(map(str, g)))
+_MODEL = st.sampled_from(["constant", "ideal", "laurent", "curve-rho", "curve-sigma", "x"])
+# per subcommand, groups of alternatives (argument, value strategy or None for
+# a bare flag or an action)
+_GUARD_OPTIONS = {
+    "semigroup": [[("--generators", _GENERATORS), ("--curve-q", _INT), ("--from-file", _PATH)]],
+    "profile": [[("--curve-q", _INT), ("--hyperelliptic-gamma", _INT), ("--semigroup", _PATH)]],
+    "bound": [[("--profile", _PATH)], [("--ell", _INT)], [("--m", _INT)],
+              [("--table", None), ("--diagnose", None)], [("--ell-range", _RANGE)],
+              [("--m-range", _RANGE)]],
+    "curve": [[("info", None), ("points", None)], [("--q", _INT)]],
+    "code": [[("build", None), ("distance", None), ("verify", None)], [("--q", _INT)],
+             [("--ell", _INT)], [("--m", _INT)]],
+    "axioms": [[("--model", _MODEL)], [("--p", _INT)], [("--k", _INT)], [("--q", _INT)],
+               [("--c", _INT)], [("--bound", _INT)]],
+}
+
+
+@st.composite
+def _guard_argv(draw):
+    """A subcommand with, from each group, mostly one alternative and
+    sometimes none or two: small, zero, negative and huge integers and
+    every kind of file."""
+    command = draw(st.sampled_from(sorted(_GUARD_OPTIONS)))
+    argv = [command]
+    for group in _GUARD_OPTIONS[command]:
+        size = draw(st.sampled_from([1] * 8 + [0, 2]))
+        for arg, value in draw(st.permutations(group))[:size]:
+            argv += [arg] if value is None else [arg, draw(value)]
+    return argv
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_guard_argv())
+@example(argv=["semigroup", "--curve-q", "0"])
+@example(argv=["profile", "--curve-q", "0"])
+@example(argv=["profile", "--hyperelliptic-gamma", "0"])
+@example(argv=["profile", "--hyperelliptic-gamma", "100000000"])
+@example(argv=["axioms", "--model", "ideal", "--p", "7", "--bound", "6"])
+def test_every_argv_ends_in_an_exit_code(guard_dir, capsys, argv):
+    """cli.main in-process: exit 0, 1 or 2, no exception, and at most
+    GUARD_SECONDS of wall time."""
+    argv = [a.format(tmp=guard_dir) for a in argv]
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.setitimer(signal.ITIMER_REAL, GUARD_SECONDS)
+    try:
+        code = main(argv)
+    except _RanTooLong:
+        pytest.fail(f"{argv} ran over {GUARD_SECONDS} s")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in capsys.readouterr().err
+
+
+LONG_OR_RAISED = [
+    (["semigroup", "--curve-q", "0"], 1, "UnsupportedQ", 1.0),
+    (["profile", "--curve-q", "0"], 1, "UnsupportedQ", 1.0),
+    (["profile", "--hyperelliptic-gamma", "0"], 1, "ProfileBijectionViolation", 1.0),
+    (["profile", "--hyperelliptic-gamma", "100000000"], 1, "SemigroupTooLarge", 1.0),
+    (["axioms", "--model", "ideal", "--p", "7", "--bound", "6"], 0, None, 2.0),  # 799 elements
+]
+
+
+@pytest.mark.parametrize("argv,code,error,seconds", LONG_OR_RAISED,
+                         ids=[" ".join(case[0]) for case in LONG_OR_RAISED])
+def test_inputs_that_ran_long_or_raised(capsys, argv, code, error, seconds):
+    """A 0 is a value, not "not given"; the hyperelliptic cap comes before
+    the profile is built; the ideal model runs on weight rows."""
+    start = time.perf_counter()
+    got, _, err = run(capsys, *argv)
+    assert time.perf_counter() - start < seconds
+    assert got == code
+    assert err.startswith(f"error {error}:") if error else err == ""

@@ -16,6 +16,7 @@ import json
 
 import pytest
 
+import sparse_reference as ref
 from nordcodes import models
 from nordcodes.errors import NordError
 from nordcodes.field import make_field
@@ -23,7 +24,7 @@ from nordcodes.hermitian import HermitianCurve
 from nordcodes.models import NEG_INF
 
 
-class Broken(models.LaurentModel):
+class Broken(ref.Sparse, models.LaurentModel):
     """Violates N2 (and more): rho grows with the number of terms."""
 
     def rho(self, f):
@@ -32,13 +33,14 @@ class Broken(models.LaurentModel):
 
 
 class Doubled(models.LaurentModel):
-    def rho(self, f):
-        base = super().rho(f)
-        return base if base == NEG_INF else 2 * base
+    """rho doubled, as twice the Laurent weight."""
+
+    def weight(self, key):
+        return 2 * super().weight(key)
 
 
 def _halved(cls):
-    class Halved(cls):
+    class Halved(ref.Sparse, cls):
         """rho halved, rounded up: filtration levels stop growing by one."""
 
         def rho(self, f):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import curve_reference as ref
+import sparse_reference as sref
 from nordcodes import models
 from nordcodes.errors import (
     CoefficientOutOfRange,
@@ -55,12 +56,12 @@ def test_laurent_model_values():
     m = models.model_laurent(F4)
     x = ((1, 1),)
     y = ((-1, 1),)
-    x3_plus_x = m.add(m.mul(m.mul(x, x), x), x)
+    x3_plus_x = m.add(sref.mul(m, sref.mul(m, x, x), x), x)
     assert m.rho(x3_plus_x) == 0
-    y2_plus_x = m.add(m.mul(y, y), x)
+    y2_plus_x = m.add(sref.mul(m, y, y), x)
     assert m.rho(y2_plus_x) == 2
-    assert m.mul(x, y) == m.one()  # the defining relation
-    assert m.rho(m.mul(x, y)) == 0
+    assert sref.mul(m, x, y) == m.one()  # the defining relation
+    assert m.rho(sref.mul(m, x, y)) == 0
 
 
 def test_curve_model_values():
@@ -107,7 +108,7 @@ def test_ideal_model_axioms():
 
 
 def test_broken_model_yields_witness():
-    class Broken(models.LaurentModel):
+    class Broken(sref.Sparse, models.LaurentModel):
         def rho(self, f):  # violates N2: rho of a sum can exceed the max
             base = super().rho(f)
             if base == NEG_INF:
@@ -144,16 +145,11 @@ def test_deterministic_enumeration():
 
 
 def test_normalize_scales_by_gcd():
-    class Doubled(models.LaurentModel):
-        def rho(self, f):
-            base = super().rho(f)
-            return base if base == NEG_INF else 2 * base
-
-    norm = models.normalize(Doubled(F2), 3)
+    norm = models.normalize(DoubledWeight(F2), 3)
     assert norm.divisor == 2
     m = models.model_laurent(F2)
     for f in m.elements(3):
-        assert norm.rho(f) == m.rho(f)
+        assert norm.rho(f) == m.rho(f) == sref.normalized_rho(norm, f)
 
 
 def test_normalize_identity_when_gcd_one():
@@ -170,12 +166,7 @@ def test_normalize_trivial_model_rejected():
 
 
 def test_normalized_membership_unchanged():
-    class Doubled(models.LaurentModel):
-        def rho(self, f):
-            base = super().rho(f)
-            return base if base == NEG_INF else 2 * base
-
-    base = Doubled(F2)
+    base = DoubledWeight(F2)
     norm = models.normalize(base, 3)
     for f in base.elements(3):
         if not base.is_zero(f):
@@ -202,7 +193,7 @@ def test_filtration_trivial_rejected():
 
 
 def test_filtration_empty_level_named():
-    class Broken(models.LaurentModel):  # every nonzero element has rho >= 1
+    class Broken(sref.Sparse, models.LaurentModel):  # every nonzero element has rho >= 1
         def rho(self, f):
             base = super().rho(f)
             return base if base == NEG_INF else base + len(f)
@@ -241,7 +232,7 @@ def test_unit_part_closed_under_product():
     units = [f for f in m.elements(2) if not m.is_zero(f) and m.in_unit_part(f)]
     for f in units:
         for g in units:
-            assert m.in_unit_part(m.mul(f, g))
+            assert m.in_unit_part(sref.mul(m, f, g))
 
 
 # -- the sparse algebra against reference arithmetic ------------------------
@@ -304,9 +295,9 @@ def test_polynomial_algebra_matches_dense(case, lam):
     m = models.model_constant(F, 1)
     sf, sg = _sparse(f), _sparse(g)
     assert m.show(sf) == f and m.show(sg) == g
-    assert m.show(m.mul(sf, sg)) == _dense_mul(F, f, g)
+    assert m.show(sref.mul(m, sf, sg)) == _dense_mul(F, f, g)
     assert m.show(m.add(sf, sg)) == _dense_add(F, f, g)
-    assert m.show(m.sub(sf, sf)) == ()
+    assert m.show(sref.sub(m, sf, sf)) == ()
     assert m.show(m.scale(lam, sf)) == _dense_add(F, tuple(F.mul(lam, c) for c in f), ())
 
 
@@ -317,8 +308,8 @@ def test_laurent_mul_matches_exponent_sums(F, data):
         lambda d: tuple(sorted(d.items())))
     f, g = data.draw(pairs), data.draw(pairs)
     m = models.model_laurent(F)
-    assert m.mul(f, g) == _laurent_mul(F, f, g)
-    assert m.mul(f, g) == m.mul(g, f)
+    assert sref.mul(m, f, g) == _laurent_mul(F, f, g)
+    assert sref.mul(m, f, g) == sref.mul(m, g, f)
 
 
 CURVES = {q: HermitianCurve(q) for q in (2, 3)}
@@ -342,8 +333,8 @@ def test_curve_algebra_matches_two_point_functions(case):
         m = models.model_curve(curve, which)
         a, b = f.support, g.support
         assert m.add(a, b) == (f + g).support
-        assert m.sub(a, b) == (f - g).support
-        assert m.mul(a, b) == (f * g).support
+        assert sref.sub(m, a, b) == (f - g).support
+        assert sref.mul(m, a, b) == (f * g).support
         assert m.scale(lam, a) == f.scale(lam).support
         assert m.show(a) == str(f)
         if not f.is_zero():
@@ -356,13 +347,43 @@ def test_curve_algebra_matches_two_point_functions(case):
 ROW_FIELDS = [make_field(2, 1), make_field(3, 1), make_field(2, 2), make_field(5, 1),
               make_field(3, 2)]
 
-# (model, bound) for every model whose rho is the generic weight maximum
+
+class DoubledWeight(models.LaurentModel):
+    def weight(self, key):
+        return 2 * super().weight(key)
+
+
+class LiftedWeight(DoubledWeight):
+    """weight 2 on the units: rho(1) = 2 > 0, and normalizing divides by 2."""
+
+    def weight(self, key):
+        return 2 + super().weight(key)
+
+
+IDEAL_GS = ([0, 0, 1], [1, 1], [1, 0, 1])  # t^2, t + 1, t^2 + 1
+
+# (model, bound): every model of `models` is a weight model
 WEIGHT_MODELS = [
     *((models.model_constant(F, c), 3) for F in ROW_FIELDS for c in (0, 2)),
+    *((models.model_ideal(F, g), 4) for F in ROW_FIELDS[:3] for g in IDEAL_GS),
     *((models.model_laurent(F), 2) for F in ROW_FIELDS),
     *((models.model_curve(curve, which), 3) for curve in CURVES.values()
       for which in ("rho", "sigma")),
+    *((models.normalize(DoubledWeight(F), 1), 2) for F in ROW_FIELDS[:3]),
+    *((models.normalize(LiftedWeight(F), 2), 2) for F in ROW_FIELDS[:2]),
+    (models.normalize(models.model_curve(CURVES[2], "rho"), 4), 3),
 ]
+
+
+def _reference_rho(model):
+    """rho as defined apart from the weights: by divisibility by g in
+    t-coordinates for the ideal, from the base model's rho for a
+    normalization."""
+    if isinstance(model, models.IdealModel):
+        return lambda f: sref.ideal_rho(model, f)
+    if isinstance(model, models.NormalizedModel):
+        return lambda f: sref.normalized_rho(model, f)
+    return model.rho
 
 
 @st.composite
@@ -380,20 +401,24 @@ def _rows_case(draw):
     return model, [model.zero(), *elements]
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(_rows_case())
 def test_rows_match_the_algebra(case):
     model, elements = case
+    rho = _reference_rho(model)
     units = range(1, model.field.q)
     n = len(elements)
-    for rows in (models._WeightRows(model, elements), models._SparseRows(model, elements)):
-        assert rows.rhos == [model.rho(f) for f in elements]
+    fast = model.rows(elements)
+    assert isinstance(fast, models._WeightRows)
+    for rows in (fast, sref.SparseRows(model, elements)):
+        assert rows.rhos == [rho(f) for f in elements]
         for i, f in enumerate(elements):
-            assert rows.scaled_rhos(i) == [model.rho(model.scale(lam, f)) for lam in units]
-            assert rows.sum_rhos(i) == [model.rho(model.add(f, g)) for g in elements[i:]]
-            assert rows.product_rhos(i, range(n)) == [model.rho(model.mul(f, g)) for g in elements]
+            assert rows.scaled_rhos(i) == [rho(model.scale(lam, f)) for lam in units]
+            assert rows.sum_rhos(i) == [rho(model.add(f, g)) for g in elements[i:]]
+            assert rows.product_rhos(i, range(n)) == [rho(sref.mul(model, f, g))
+                                                      for g in elements]
             for j, g in enumerate(elements):
-                diffs = [model.rho(model.sub(f, model.scale(lam, g))) for lam in units]
+                diffs = [rho(sref.sub(model, f, model.scale(lam, g))) for lam in units]
                 for limit in {NEG_INF, *diffs, *(r + 0.5 for r in diffs)}:
                     for strict in (True, False):
                         want = [lam for lam, r in zip(units, diffs)
@@ -401,7 +426,20 @@ def test_rows_match_the_algebra(case):
                         assert list(rows.lambdas(i, [j], limit, strict)[0]) == want
 
 
-# -- which path a model takes -----------------------------------------------
+def test_ideal_elements_are_in_the_basis_adapted_to_g():
+    F3 = make_field(3, 1)
+    m = models.model_ideal(F3, [1, 1])  # g = 1 + t: key e >= 1 is t^(e-1) * g
+    assert m.basis(2) == [((0, 1),), ((0, 2), (1, 1)), ((0, 1), (1, 2), (2, 1))]
+    assert [m.show(f) for f in m.basis(2)] == [(1,), (0, 1), (0, 0, 1)]
+    assert m.rho(((0, 2), (1, 1))) == 1  # t
+    assert m.rho(((1, 1), (2, 2))) == 0  # g + 2 t g
+    for e1 in range(4):
+        for e2 in range(4):
+            want = m._from_t(_dense_mul(F3, m.show(((e1, 1),)), m.show(((e2, 1),))))
+            assert m.monomial_product(e1, e2) == want
+
+
+# -- which rows a model hands -----------------------------------------------
 
 
 class AbsWeight(models.LaurentModel):
@@ -426,19 +464,6 @@ class CurveShifted(models.CurveValuationModel):
         return key[0] + 2 * key[1]
 
 
-class DoubledWeight(models.LaurentModel):
-    def weight(self, key):
-        return 2 * super().weight(key)
-
-
-def _forced_sparse(cls):
-    class Sparse(cls):
-        def rho(self, f):
-            return super().rho(f)
-
-    return Sparse
-
-
 def _outcome(fn):
     try:
         return json.dumps(fn(), sort_keys=True, default=str)
@@ -450,7 +475,7 @@ WEIGHT_OVERRIDES = [
     (AbsWeight, (F2,), 2),
     (AbsWeight, (make_field(3, 1),), 2),
     (AbsWeight, (F4,), 3),  # two-monomial sample
-    (AbsWeight, (make_field(7, 1),), 1),  # 343 elements: leading-coefficient-1 reps
+    (AbsWeight, (make_field(7, 1),), 1),  # 343 elements
     (ParityConstant, (make_field(3, 1), 2), 3),
     (CurveShifted, (HermitianCurve(2), "rho"), 2),
     (CurveShifted, (HermitianCurve(2), "sigma"), 4),  # two-monomial sample
@@ -460,9 +485,9 @@ WEIGHT_OVERRIDES = [
 @pytest.mark.parametrize("cls,args,bound", WEIGHT_OVERRIDES,
                          ids=[f"{c.__name__}-{i}" for i, (c, _, _) in enumerate(WEIGHT_OVERRIDES)])
 def test_weight_override_report_equals_sparse_path(cls, args, bound):
-    fast, slow = cls(*args), _forced_sparse(cls)(*args)
-    assert isinstance(models._rows(fast, []), models._WeightRows)
-    assert isinstance(models._rows(slow, []), models._SparseRows)
+    fast, slow = cls(*args), sref.sparse(cls)(*args)
+    assert isinstance(fast.rows([]), models._WeightRows)
+    assert isinstance(slow.rows([]), sref.SparseRows)
     rep = models.axiom_check(fast, bound)
     assert not all(rep.passed(a) for a in ("N3", "N4", "N5", "O3"))
     assert rep.dumps() == models.axiom_check(slow, bound).dumps()
@@ -477,18 +502,102 @@ def test_weight_override_report_equals_sparse_path(cls, args, bound):
                 models.normalize(model, bound)
 
 
-def test_normalized_weight_model_takes_the_sparse_path(monkeypatch):
-    # NormalizedModel forwards the base model's `weight` but has its own rho
-    norm = models.normalize(DoubledWeight(F2), 3)
-    assert norm.divisor == 2 and hasattr(norm, "weight")
-    assert isinstance(models._rows(norm, []), models._SparseRows)
-    got = models.axiom_check(norm, 3).dumps(), _outcome(lambda: models.filtration_check(norm, 3))
-    monkeypatch.setattr(models, "_rows", models._SparseRows)
-    assert got == (models.axiom_check(norm, 3).dumps(),
-                   _outcome(lambda: models.filtration_check(norm, 3)))
-    # halving the doubled weight gives the Laurent model back
-    laurent = models.axiom_check(models.model_laurent(F2), 3).dumps()
-    assert json.loads(got[0])["results"] == json.loads(laurent)["results"]
+class SparseNormalized(sref.Sparse, models.NormalizedModel):
+    """A normalization whose rho comes from the base model's, on sparse rows."""
+
+    def rho(self, f):
+        return sref.normalized_rho(self, f)
+
+
+@pytest.mark.parametrize("base,bound", [
+    (DoubledWeight(F2), 3),
+    (DoubledWeight(make_field(3, 1)), 2),
+    (LiftedWeight(F2), 3),
+    (models.model_curve(HermitianCurve(2), "sigma"), 4),
+], ids=["doubled-gf2", "doubled-gf3", "lifted-gf2", "curve-sigma"])
+def test_normalized_weight_model_matches_the_reference(base, bound):
+    norm = models.normalize(base, bound)
+    assert isinstance(norm.rows([]), models._WeightRows)
+    slow = SparseNormalized(base, norm.divisor)
+    got = models.axiom_check(norm, bound).dumps()
+    assert got == models.axiom_check(slow, bound).dumps()
+    assert (_outcome(lambda: models.filtration_check(norm, bound))
+            == _outcome(lambda: models.filtration_check(slow, bound)))
+    if type(base) is DoubledWeight:  # halving the doubled weight gives the Laurent model
+        assert norm.divisor == 2
+        laurent = models.axiom_check(models.model_laurent(base.field), bound).dumps()
+        assert json.loads(got)["results"] == json.loads(laurent)["results"]
+
+
+class OwnRho(models.LaurentModel):
+    def rho(self, f):
+        return super().rho(f)
+
+
+@pytest.mark.parametrize("model", [OwnRho(F2), models.NormalizedModel(OwnRho(F2), 1),
+                                   models.NormalizedModel(sref.sparse(OwnRho)(F2), 1)],
+                         ids=["own-rho", "normalized-own-rho", "normalized-sparse"])
+def test_own_rho_without_rows_is_refused(model):
+    """A rho the weights no longer define gets no verdicts read from them."""
+    for check in (models.axiom_check, models.filtration_check, models.normalize):
+        with pytest.raises(TypeError, match="defines its own rho but no rows"):
+            check(model, 2)
+    assert (models.axiom_check(sref.sparse(OwnRho)(F2), 2).dumps()
+            == models.axiom_check(models.model_laurent(F2), 2).dumps())
+
+
+# -- triple axioms: scalar classes against every sample index ----------------
+
+
+class TableWeight(models.LaurentModel):
+    """A random weight on the keys -2b..2b that products of the bound-b
+    sample reach: N3, O3 and N5 fail with assorted witnesses."""
+
+    def __init__(self, field, table):
+        super().__init__(field)
+        self.table = table
+
+    def weight(self, key):
+        return self.table[key + len(self.table) // 2]
+
+
+class BrokenSparse(sref.Sparse, models.LaurentModel):
+    def rho(self, f):
+        base = super().rho(f)
+        return base if base == NEG_INF else base + len(f)
+
+
+F3 = make_field(3, 1)
+CLASS_MODELS = [
+    (models.model_constant(F3, 1), 3),
+    (models.model_ideal(F2, [1, 1]), 5),
+    (models.model_ideal(F3, [1, 0, 1]), 3),
+    (models.model_ideal(F4, [0, 0, 1]), 2),
+    (models.model_laurent(F3), 2),
+    (models.model_curve(HermitianCurve(2), "rho"), 2),
+    (models.normalize(DoubledWeight(F3), 2), 2),
+    (AbsWeight(F3), 1),
+    (CurveShifted(HermitianCurve(2), "sigma"), 2),
+    (BrokenSparse(F2), 2),
+]
+TABLE_SAMPLES = [(F2, 1), (F2, 2), (F2, 3), (F3, 1), (F3, 2), (F4, 1), (make_field(5, 1), 1)]
+
+
+@st.composite
+def _table_model(draw):
+    F, bound = draw(st.sampled_from(TABLE_SAMPLES))
+    table = draw(st.lists(st.integers(0, 3), min_size=4 * bound + 1, max_size=4 * bound + 1))
+    return TableWeight(F, table), bound
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.sampled_from(CLASS_MODELS), _table_model()))
+def test_scalar_classes_give_the_report_of_every_index(case):
+    model, bound = case
+    got = models.axiom_check(model, bound).dumps()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(models, "_class_firsts", lambda model, sample: list(range(len(sample))))
+        assert models.axiom_check(model, bound).dumps() == got
 
 
 # -- bounded samples --------------------------------------------------------
@@ -501,6 +610,7 @@ def test_normalized_weight_model_takes_the_sparse_path(monkeypatch):
     (models.model_ideal(F4, [0, 0, 1]), range(0, 5)),
     (models.model_curve(HermitianCurve(2), "sigma"), range(-1, 6)),
     (models.normalize(DoubledWeight(F2), 3), range(0, 5)),
+    (models.model_ideal(make_field(3, 1), [1, 1]), range(0, 6)),
 ], ids=lambda v: getattr(v, "name", None))
 def test_sample_size_is_the_closed_form(model, bounds):
     for bound in bounds:
