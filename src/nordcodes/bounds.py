@@ -5,18 +5,23 @@ Sigma(s), the sets N_r^m, the bound d_nord, the Goppa bound, their difference
 delta, the A/B/C decomposition of N_r^m and a diagnostic that compares the
 closed formula d_nord = l + 2 - genus + #A against direct enumeration.
 
-d_nord, delta and bound_table count #N_r^m with n_set_size, in O(genus) per
-set, and bound_table counts each set once for the whole table; n_set lists
+n_set_size, d_nord and bound_table count #N_r^m from one sorted list of
+failure thresholds per (profile, m), built in O(genus log genus): a bisect
+per set, so d_nord costs O(genus log genus) whatever ell is.  n_set lists
 the pairs themselves and is the reference the count is tested against.
 """
 
 from __future__ import annotations
 
-from .errors import HypothesisNotMet, MBelowLambda, NegativeEll
+from bisect import bisect_right
+
+from .errors import HypothesisNotMet, MBelowLambda, NegativeEll, TableTooLarge
 from .semigroup import GoodBasisProfile
 from .value import Value
 
 CSV_HEADER = ["ell", "m", "n_set_size", "d_nord", "d_goppa", "delta"]
+
+_TABLE_CAP = 1 << 20  # rows, and N-set counts, of one bound table
 
 
 def _require_ell(ell: int):
@@ -56,35 +61,45 @@ def n_set(profile: GoodBasisProfile, r: int, m: int) -> NSet:
     return NSet(r, m, pairs)
 
 
-def n_set_size(profile: GoodBasisProfile, r: int, m: int) -> int:
-    """#N_r^m in O(genus), by counting the pairs that fail.
+def _fail_thresholds(profile: GoodBasisProfile, m: int) -> list[int]:
+    """Sorted r at which each failing pair of N_r^m starts to fail.
 
     Of the r + 2 pairs (i, r + 1 - i), the end i = 0 always qualifies since
     sigma(f_0) = 0 and Sigma(r + 1) <= lambda_sigma <= m, and so does the end
     i = r + 1 since Sigma(0) = 0.  Every nongap i qualifies as well, because
-    sigma(f_i) = 0 there.  Only a gap i in [1, r] can fail, so
+    sigma(f_i) = 0 there.  A gap i with sigma(f_i) = v fails once Sigma(r + 1
+    - i) > m - v, that is for r >= i + s_i - 1, with s_i the least s >= 1 such
+    that Sigma(s) > m - v (none when Sigma never exceeds m - v).  So
 
-        #N_r^m = (r + 2) - #{gap i <= r : sigma(f_i) + Sigma(r + 1 - i) > m}.
+        #N_r^m = (r + 2) - #{thresholds <= r}.
     """
+    prefix = profile.sigma_prefix
+    out = []
+    for i, v in profile.entries:
+        s = bisect_right(prefix, m - v)  # Sigma is nondecreasing, Sigma(0) = 0 <= m - v
+        if s < len(prefix):
+            out.append(i + s - 1)
+    out.sort()
+    return out
+
+
+def n_set_size(profile: GoodBasisProfile, r: int, m: int) -> int:
+    """#N_r^m in O(genus log genus), from the failure thresholds."""
     _require_ell(r)
     _require_m(profile, m)
-    prefix = profile.sigma_prefix
-    top = len(prefix) - 1
-    failing = 0
-    for i, v in profile.entries:  # sorted by i
-        if i > r:
-            break
-        j = r + 1 - i
-        if v + prefix[j if j < top else top] > m:
-            failing += 1
-    return r + 2 - failing
+    return r + 2 - bisect_right(_fail_thresholds(profile, m), r)
+
+
+def _n_set_sizes(thresholds: list[int], lo: int, hi: int) -> list[int]:
+    """#N_r^m for r in [lo, hi], from the thresholds of m."""
+    return [r + 2 - bisect_right(thresholds, r) for r in range(lo, hi + 1)]
 
 
 def d_nord(profile: GoodBasisProfile, ell: int, m: int) -> int:
     """min #N_r^m over r >= ell; the window r in [ell, ell+genus] suffices."""
     _require_ell(ell)
     _require_m(profile, m)
-    return min(n_set_size(profile, r, m) for r in range(ell, ell + profile.genus + 1))
+    return min(_n_set_sizes(_fail_thresholds(profile, m), ell, ell + profile.genus))
 
 
 def d_goppa(ell: int, m: int, genus: int) -> int:
@@ -136,8 +151,8 @@ def lemma62_diagnostic(profile: GoodBasisProfile, ell: int, m: int) -> dict:
             f"need ell >= lambda_rho + s - 1 = {profile.lambda_rho + profile.s_index - 1}, got {ell}"
         )
     direct = d_nord(profile, ell, m)
-    a_set, _, _ = abc_decomposition(profile, ell, m)
-    formula = ell + 2 - profile.genus + len(a_set)
+    n_a = ell - sum(i <= ell for i, _ in profile.entries)  # #A: the nongaps in [1, ell]
+    formula = ell + 2 - profile.genus + n_a
     dg = d_goppa(ell, m, profile.genus)
     return {
         "ell": ell,
@@ -164,9 +179,17 @@ def bound_table(profile: GoodBasisProfile, ell_range, m_range) -> list[tuple]:
     ell + genus; d_nord is the minimum of those counts over the window
     [ell, ell + genus], as in d_nord itself.
     """
-    ells, ms = list(ell_range), list(m_range)
-    if not ells or not ms:
+    n_ell, n_m = len(ell_range), len(m_range)
+    if not n_ell or not n_m:
         return []
+    # refused from the sizes before anything is listed; the rows first, so
+    # that the ell span is read off at most _TABLE_CAP values
+    if n_ell * n_m > _TABLE_CAP:
+        raise TableTooLarge(f"table has {n_ell * n_m} rows (> {_TABLE_CAP})")
+    n_counts = (max(ell_range) - min(ell_range) + profile.genus + 1) * n_m
+    if n_counts > _TABLE_CAP:
+        raise TableTooLarge(f"table needs {n_counts} N-set counts (> {_TABLE_CAP})")
+    ells, ms = list(ell_range), list(m_range)
     # raise what the first failing cell in ell-major order would raise
     _require_ell(ells[0])
     for m in ms:
@@ -175,10 +198,7 @@ def bound_table(profile: GoodBasisProfile, ell_range, m_range) -> list[tuple]:
         _require_ell(ell)
     genus = profile.genus
     lo = min(ells)
-    counts = {
-        m: [n_set_size(profile, r, m) for r in range(lo, max(ells) + genus + 1)]
-        for m in ms
-    }
+    counts = {m: _n_set_sizes(_fail_thresholds(profile, m), lo, max(ells) + genus) for m in ms}
     rows = []
     for ell in ells:
         for m in ms:

@@ -172,15 +172,15 @@ def _cmd_axioms(args) -> int:
 
     field = make_field(args.p, args.k)
     if args.model == "constant":
-        model = models.model_constant(field, args.c)
+        model = models.ConstantModel(field, args.c)
     elif args.model == "ideal":
-        model = models.model_ideal(field, [0, 0, 1])  # g = t^2
+        model = models.IdealModel(field, [0, 0, 1])  # g = t^2
     elif args.model == "laurent":
-        model = models.model_laurent(field)
+        model = models.LaurentModel(field)
     elif args.model in ("curve-rho", "curve-sigma"):
         from .hermitian import HermitianCurve
         curve = HermitianCurve(args.q)
-        model = models.model_curve(curve, args.model.split("-")[1])
+        model = models.CurveValuationModel(curve, args.model.split("-")[1])
     else:
         raise NordError(f"unknown model {args.model}")
     report = models.axiom_check(model, args.bound)

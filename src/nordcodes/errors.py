@@ -74,6 +74,10 @@ class HypothesisNotMet(NordError):
     pass
 
 
+class TableTooLarge(NordError):
+    pass
+
+
 # nweight_models
 class GIsConstant(NordError):
     pass

@@ -12,8 +12,11 @@ coefficient, and rho(f) is the largest weight over its support
 F[t], exponents of X in the Laurent ring (Y^e is X^-e), and the reduced
 exponents (a, b) of x^a y^b on the curve.  A model supplies the hooks:
 
-* `basis_keys(bound)`: the monomials whose span is sampled, and
+* `basis_keys(bound)`: the monomials whose span is sampled, ascending, and
   `basis_count(bound)`, their number (the curve counts them unlisted);
+* `_from_terms(terms)`: the sampled element with coefficient c on basis key
+  k for each (k, c) in `terms`: the pairs themselves, except in the ideal
+  model, whose sample spans t^0 ... t^bound in t-coordinates;
 * `monomial_product(k1, k2)`: the product of two monomials, as an element
   (the key sum for F[t] and the Laurent ring, the reduced product on the
   curve);
@@ -35,23 +38,28 @@ subclass that overrides `rho` must hand rows of its own (the tests' sparse
 reference does); `NWeightModel.rows` refuses it with TypeError.
 
 All verdicts are exhaustive over a bounded, deterministically enumerated
-sample; nothing is probabilistic.  When the full coefficient space is too
-large the sample is every element supported on at most two basis monomials.
+sample; nothing is probabilistic.  The sample comes straight from the n
+basis keys: every choice of at most R keys with nonzero coefficients,
+through `_from_terms`, sorted by `_order_key`, with R = n (the full span)
+when q^n <= 4096 and R = 2 otherwise.  `sample_size` gives its size in
+closed form, the sum over r <= R of C(n, r) (q-1)^r, and every checker
+refuses a sample above `_SAMPLE_CAP` with SampleTooLarge before building it.
+Nothing here forms a sum, multiple or product of elements; the tests'
+sparse reference does, as the oracle of the rows and of the sample.
+
 The triple-quantified axioms (N3, O3, N5, no zero divisors) run over the
 first element, in sample order, of each scalar class {lam*f}: scaling
 changes neither rho(f) nor rho(f*h), so each predicate depends only on the
 classes, and the first witness over the whole sample is made of such
-elements.  `sample_size` gives the sample's size in closed form, and every
-checker refuses a sample above `_SAMPLE_CAP` with SampleTooLarge before
-building it.
+elements.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from itertools import repeat
-from math import gcd
+from itertools import combinations, product, repeat
+from math import comb, gcd
 from operator import and_, gt, ne
 
 from .errors import (CoefficientOutOfRange, EmptyLevel, GIsConstant, NegativeRho,
@@ -64,10 +72,11 @@ _FULL_ENUM_LIMIT = 4096
 _SAMPLE_CAP = 2000
 
 
-def _spans_fully(q: int, n: int) -> bool:
-    """Whether the sample is the full span of n basis monomials: q^n <=
-    _FULL_ENUM_LIMIT (q >= 2, so no longer basis qualifies)."""
-    return n < _FULL_ENUM_LIMIT.bit_length() and q**n <= _FULL_ENUM_LIMIT
+def _span_rank(q: int, n: int) -> int:
+    """The most basis keys an element of the sample is drawn on: all n when
+    the full span has q^n <= _FULL_ENUM_LIMIT elements (q >= 2, so no
+    longer basis qualifies), else 2."""
+    return n if n < _FULL_ENUM_LIMIT.bit_length() and q**n <= _FULL_ENUM_LIMIT else 2
 
 
 def _bounded_sample(model, bound: int) -> list:
@@ -128,37 +137,6 @@ class NWeightModel:
             raise TypeError(f"{type(self).__name__} defines its own rho but no rows")
         return _WeightRows(self, elements)
 
-    def add(self, f, g):
-        # merge of two key-sorted supports
-        add = self.field.add
-        out = []
-        i = j = 0
-        while i < len(f) and j < len(g):
-            (kf, cf), (kg, cg) = f[i], g[j]
-            if kf < kg:
-                out.append(f[i])
-                i += 1
-            elif kg < kf:
-                out.append(g[j])
-                j += 1
-            else:
-                c = add(cf, cg)
-                if c:
-                    out.append((kf, c))
-                i += 1
-                j += 1
-        return (*out, *f[i:], *g[j:])
-
-    def scale(self, lam: int, f):
-        if lam == 0:
-            return ()
-        mul = self.field.mul
-        return tuple((k, mul(lam, c)) for k, c in f)
-
-    def basis(self, bound: int) -> list:
-        """Deterministic monomial spanning set for enumeration."""
-        return [((k, 1),) for k in self.basis_keys(bound)]
-
     def is_zero(self, f) -> bool:
         return not f
 
@@ -180,34 +158,23 @@ class NWeightModel:
             n = self.basis_count(bound)
         except OverflowError:  # a range longer than sys.maxsize
             raise SampleTooLarge(f"basis of bound {bound} has more than sys.maxsize keys")
-        if _spans_fully(q, n):
-            return q**n
-        return 1 + n * (q - 1) + n * (n - 1) // 2 * (q - 1) ** 2
+        return sum(comb(n, r) * (q - 1) ** r for r in range(_span_rank(q, n) + 1))
 
     def elements(self, bound: int) -> list:
-        """Sample: the full span of basis(bound) if small enough, otherwise
-        every combination of at most two basis monomials.  Zero comes first."""
-        basis = self.basis(bound)
-        q = self.field.q
-        if _spans_fully(q, len(basis)):
-            out = [self.zero()]
-            for mono in basis:
-                new = []
-                for f in out:
-                    for c in range(1, q):
-                        new.append(self.add(f, self.scale(c, mono)))
-                out.extend(new)
-            # rebuild in a canonical deterministic order
-            return sorted(set(out), key=self._order_key)
-        out = {self.zero()}
-        for i, m1 in enumerate(basis):
-            for c1 in range(1, q):
-                f1 = self.scale(c1, m1)
-                out.add(f1)
-                for m2 in basis[i + 1 :]:
-                    for c2 in range(1, q):
-                        out.add(self.add(f1, self.scale(c2, m2)))
+        """Sample: every choice of at most `_span_rank` basis keys with
+        nonzero coefficients, through `_from_terms`."""
+        keys = self.basis_keys(bound)
+        units = range(1, self.field.q)
+        out = [self._from_terms(tuple(zip(chosen, coeffs)))
+               for r in range(_span_rank(self.field.q, len(keys)) + 1)
+               for chosen in combinations(keys, r)
+               for coeffs in product(units, repeat=r)]
         return sorted(out, key=self._order_key)
+
+    def _from_terms(self, terms):
+        """The element with coefficient c on basis key k for (k, c) in
+        `terms`: the pairs themselves."""
+        return terms
 
     def describe(self) -> str:
         return self.name
@@ -294,8 +261,9 @@ class IdealModel(_PolynomialAlgebra):
         return (*((e, c) for e, c in enumerate(rem[:d]) if c),
                 *((d + k, c) for k, c in enumerate(quo) if c))
 
-    def basis(self, bound: int) -> list:
-        return [self._from_t([0] * e + [1]) for e in self.basis_keys(bound)]
+    def _from_terms(self, terms):
+        # the sample spans t^0 ... t^bound: `terms` are t-coefficients
+        return self._from_t(super().show(terms))
 
     def monomial_product(self, e1: int, e2: int):
         # b_e1 * b_e2 = t^s * g^n: below d when n = 0, else t^s * g^(n-1) times g
@@ -373,20 +341,9 @@ class CurveValuationModel(NWeightModel):
         return repr(f)
 
 
-def model_constant(field: Field, c: int) -> ConstantModel:
-    return ConstantModel(field, c)
-
-
-def model_ideal(field: Field, g) -> IdealModel:
-    return IdealModel(field, g)
-
-
 def model_laurent(field: Field) -> LaurentModel:
+    # kept because perfbench/inproc.py calls it
     return LaurentModel(field)
-
-
-def model_curve(curve, which: str) -> CurveValuationModel:
-    return CurveValuationModel(curve, which)
 
 
 # ---------------------------------------------------------------------------
@@ -414,17 +371,16 @@ class _WeightRows:
         self.bits = bits = (F.q - 1).bit_length()
         # the weight of the slot holding bit L-1, for a packed row of bit length L
         self.top_weight = [NEG_INF] + [w for w in self.weights for _ in range(bits)]
-        self.terms = [[(slot[k], c) for k, c in f] for f in elements]
+        self.dense = [[0] * len(keys) for _ in elements]  # e_i's coefficient per slot
+        for row, f in zip(self.dense, elements):
+            for k, c in f:
+                row[slot[k]] = c
         self.packed = [None] + [
-            [sum(F.mul(lam, c) << bits * s for s, c in terms) for terms in self.terms]
+            [sum(F.mul(lam, c) << bits * s for s, c in enumerate(row) if c) for row in self.dense]
             for lam in range(1, F.q)
         ]
         self.rhos = [self.top_weight[p.bit_length()] for p in self.packed[1]]
         self.tops: dict = {}  # cut -> j -> {lam*e_j above the cut: (lam, ...)}
-        self.dense = [[0] * len(keys) for _ in elements]
-        for row, terms in zip(self.dense, self.terms):
-            for s, c in terms:
-                row[s] = c
         contributions: dict = {}
         for s1, k1 in enumerate(keys):
             for s2, k2 in enumerate(keys):
@@ -457,7 +413,7 @@ class _WeightRows:
 
     def product_rhos(self, i: int, js) -> list:
         add, mul = self.field.add, self.field.mul
-        f = dict(self.terms[i])
+        f = {s: c for s, c in enumerate(self.dense[i]) if c}
         plan = []  # (weight, [(s2, c * e_i[s1])]) per output key that e_i reaches
         for w, contributions in self.levels:
             terms = [(s2, mul(c, f[s1])) for s1, s2, c in contributions if s1 in f]
@@ -531,10 +487,11 @@ def _class_firsts(model: NWeightModel, sample) -> list[int]:
     """The sample index of the first element of each scalar class {lam*f},
     ascending.  A class is named by its member with coefficient 1 on the
     lowest key."""
-    inv = model.field.inv
+    inv, mul = model.field.inv, model.field.mul
     firsts: dict = {}
     for i, f in enumerate(sample):
-        firsts.setdefault(model.scale(inv(f[0][1]), f) if f else f, i)
+        a = inv(f[0][1]) if f else 0
+        firsts.setdefault(tuple((k, mul(a, c)) for k, c in f), i)
     return list(firsts.values())
 
 
@@ -696,7 +653,7 @@ def axiom_check(model: NWeightModel, bound: int) -> AxiomReport:
 
     # Lemma 3.11 classification: U cap sample = F  iff  O0-O4 pass
     u_sample = [f for f, r in zip(sample, rhos) if r <= rho1]
-    constants = {zero} | {model.scale(lam, model.one()) for lam in units}
+    constants = {zero} | {((model.unit_key, lam),) for lam in units}
     u_is_field = set(u_sample) == constants
     orders_ok = report.order_axioms_pass()
     report.record(
@@ -719,7 +676,7 @@ class NormalizedModel(NWeightModel):
     on U.  The gcd is taken over the finite sample only.  The weight is
     phi(base weight), phi(r) = 0 for r <= rho_base(1) and r // divisor
     above; phi is monotone, so rho is phi(rho_base).  Everything but the
-    weight and the name (the field, the other hooks, the basis) is the base
+    weight and the name (the field, the other hooks, the sample) is the base
     model's."""
 
     def __init__(self, base: NWeightModel, divisor: int):
@@ -738,8 +695,8 @@ class NormalizedModel(NWeightModel):
     def _weighs(self) -> bool:
         return self.base._weighs()
 
-    def basis(self, bound: int) -> list:
-        return self.base.basis(bound)
+    def _from_terms(self, terms):
+        return self.base._from_terms(terms)
 
     def basis_count(self, bound: int) -> int:
         return self.base.basis_count(bound)

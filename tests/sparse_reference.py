@@ -1,8 +1,10 @@
 """Reference sparse algebra of `models`: every sum, multiple and product is
 formed as an element and rho is read from it.
 
-`NWeightModel` keeps only `add` and `scale`, which build the sample; `neg`,
-`sub` and `mul` here complete the algebra.  `SparseRows` gives the values
+`models` forms no element by arithmetic; `add`, `scale`, `neg`, `sub` and
+`mul` here are the algebra, and `elements` builds the sample from them, the
+full span of the basis monomials or every sum of at most two multiples, as
+the oracle of `NWeightModel.elements`.  `SparseRows` gives the values
 that `models._WeightRows` reads from packed rows, each from the element it
 describes, so it is the oracle of `_WeightRows` and the rows of test models
 that define a rho of their own (the `Sparse` mixin).  `ideal_rho` (by
@@ -17,12 +19,41 @@ from operator import le, lt
 NEG_INF = float("-inf")
 
 
+def add(model, f, g):
+    """f + g: the merge of two key-sorted supports."""
+    plus = model.field.add
+    out = []
+    i = j = 0
+    while i < len(f) and j < len(g):
+        (kf, cf), (kg, cg) = f[i], g[j]
+        if kf < kg:
+            out.append(f[i])
+            i += 1
+        elif kg < kf:
+            out.append(g[j])
+            j += 1
+        else:
+            c = plus(cf, cg)
+            if c:
+                out.append((kf, c))
+            i += 1
+            j += 1
+    return (*out, *f[i:], *g[j:])
+
+
+def scale(model, lam: int, f):
+    if lam == 0:
+        return ()
+    times = model.field.mul
+    return tuple((k, times(lam, c)) for k, c in f)
+
+
 def neg(model, f):
-    return model.scale(model.field.neg(1), f)
+    return scale(model, model.field.neg(1), f)
 
 
 def sub(model, f, g):
-    return model.add(f, neg(model, g))
+    return add(model, f, neg(model, g))
 
 
 def mul(model, f, g, products=None):
@@ -43,6 +74,31 @@ def mul(model, f, g, products=None):
     return tuple(sorted(kc for kc in acc.items() if kc[1]))
 
 
+def elements(model, bound: int) -> list:
+    """The sample as `models` built it by arithmetic: the full span of the
+    basis monomials when it has at most 4096 elements, else every sum of at
+    most two of their multiples.  The monomials are the keys alone, but
+    t^0 ... t^bound divided by g in the ideal model (and a normalization of
+    it, which forwards `_from_t`)."""
+    from_t = getattr(model, "_from_t", None)
+    basis = [from_t([0] * k + [1]) if from_t else ((k, 1),) for k in model.basis_keys(bound)]
+    q = model.field.q
+    if q ** len(basis) <= 4096:
+        out = [()]
+        for mono in basis:
+            out += [add(model, f, scale(model, c, mono)) for f in out for c in range(1, q)]
+        return sorted(set(out), key=model._order_key)
+    out = {()}
+    for i, m1 in enumerate(basis):
+        for c1 in range(1, q):
+            f1 = scale(model, c1, m1)
+            out.add(f1)
+            for m2 in basis[i + 1 :]:
+                for c2 in range(1, q):
+                    out.add(add(model, f1, scale(model, c2, m2)))
+    return sorted(out, key=model._order_key)
+
+
 class SparseRows:
     """rho of sums, multiples and products of `elements`, each formed in the
     sparse algebra and measured by `model.rho`."""
@@ -56,12 +112,12 @@ class SparseRows:
     def scaled_rhos(self, i: int) -> list:
         """rho(lam * e_i) for lam = 1, ..., q-1."""
         m, f = self.model, self.elements[i]
-        return [self.rho(m.scale(lam, f)) for lam in range(1, m.field.q)]
+        return [self.rho(scale(m, lam, f)) for lam in range(1, m.field.q)]
 
     def sum_rhos(self, i: int) -> list:
         """rho(e_i + e_j) for j = i, i+1, ..."""
         m, f = self.model, self.elements[i]
-        return [self.rho(m.add(f, g)) for g in self.elements[i:]]
+        return [self.rho(add(m, f, g)) for g in self.elements[i:]]
 
     def product_rhos(self, i: int, js) -> list:
         """rho(e_i * e_j) for j in js."""
@@ -77,7 +133,7 @@ class SparseRows:
         neg_units = [(lam, m.field.neg(lam)) for lam in range(1, m.field.q)]
         return [
             [lam for lam, minus in neg_units
-             if below(self.rho(m.add(f, m.scale(minus, g))), limit)]
+             if below(self.rho(add(m, f, scale(m, minus, g))), limit)]
             for g in [self.elements[j] for j in js]
         ]
 

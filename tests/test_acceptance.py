@@ -33,7 +33,7 @@ def test_acceptance_1_laurent_axioms(capsys):
     ok = True
     witnessed = False
     for p, k in ((2, 1), (2, 2)):
-        rep = models.axiom_check(models.model_laurent(make_field(p, k)), 3)
+        rep = models.axiom_check(models.LaurentModel(make_field(p, k)), 3)
         ok &= rep.all_near_weight_pass()
         o_fail = not rep.order_axioms_pass()
         ok &= o_fail
@@ -53,7 +53,7 @@ def test_acceptance_2_curve_adapters(capsys):
     ok = True
     unit_sets = []
     for side in ("rho", "sigma"):
-        model = models.model_curve(curve, side)
+        model = models.CurveValuationModel(curve, side)
         rep = models.axiom_check(model, 6)
         ok &= rep.all_near_weight_pass()
         sample = model.elements(6)

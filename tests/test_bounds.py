@@ -1,10 +1,15 @@
+from bisect import bisect_right
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nordcodes import bounds
-from nordcodes.errors import HypothesisNotMet, MBelowLambda, NegativeEll, NordError
+from nordcodes.errors import (HypothesisNotMet, MBelowLambda, NegativeEll, NordError,
+                              TableTooLarge)
 from nordcodes.hermitian import HermitianCurve
-from nordcodes.semigroup import GoodBasisProfile, hyperelliptic_profile, ns_from_generators
+from nordcodes.semigroup import (GoodBasisProfile, hyperelliptic_profile, ns_from_generators,
+                                 tps_from_gapset)
 
 HYPER2 = hyperelliptic_profile(2)
 HYPER1 = hyperelliptic_profile(1)
@@ -32,6 +37,39 @@ PROFILES = st.one_of(
         [hyperelliptic_profile(g) for g in (1, 2, 3, 6)]
         + [HermitianCurve(q).profile_closed_form() for q in (2, 3, 4, 5)]
     ),
+)
+
+
+def _two_point_profiles():
+    """Profiles of every two-point semigroup whose gap pairs are, for some
+    bijection tau between the gaps of two numerical semigroups of genus <= 4,
+    the pairs (a, b) with b < tau(a) on a gap a of the first, or a <
+    tau^-1(b) on a gap b of the second; the candidates that are not closed
+    are dropped."""
+    by_genus = {}
+    for gens in ([2, 3], [2, 5], [3, 4, 5], [2, 7], [3, 4], [3, 5, 7], [4, 5, 6, 7],
+                 [2, 9], [3, 5], [3, 7, 8], [4, 5, 6], [4, 5, 7], [4, 6, 7, 9]):
+        gaps = sorted(ns_from_generators(gens).gaps)
+        by_genus.setdefault(len(gaps), []).append(gaps)
+    out = set()
+    for family in by_genus.values():
+        for rho_gaps in family:
+            for sigma_gaps in family:
+                for tau in permutations(sigma_gaps):
+                    pairs = {(a, b) for a, t in zip(rho_gaps, tau) for b in range(t)}
+                    pairs |= {(x, t) for a, t in zip(rho_gaps, tau) for x in range(a)}
+                    try:
+                        out.add(tps_from_gapset(pairs).profile())
+                    except NordError:
+                        continue
+    return sorted(out, key=lambda p: p.entries)
+
+
+TWO_POINT_PROFILES = _two_point_profiles()
+THRESHOLD_PROFILES = st.one_of(
+    st.sampled_from([hyperelliptic_profile(g) for g in (1, 2, 5, 13, 40)]),
+    st.sampled_from([HermitianCurve(q).profile_closed_form() for q in (2, 3, 4, 5)]),
+    st.sampled_from(TWO_POINT_PROFILES),
 )
 
 
@@ -65,6 +103,18 @@ def test_n_set_size_matches_enumeration(profile, data):
     r = data.draw(st.integers(0, 3 * profile.lambda_rho), label="r")
     m = data.draw(st.integers(profile.lambda_sigma, 2 * profile.lambda_sigma + 4), label="m")
     assert bounds.n_set_size(profile, r, m) == len(bounds.n_set(profile, r, m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(profile=THRESHOLD_PROFILES, data=st.data())
+def test_threshold_count_is_the_n_set_size(profile, data):
+    """(r + 2) minus the failure thresholds up to r is the listed #N_r^m."""
+    g, lam = profile.genus, profile.lambda_sigma
+    r = data.draw(st.integers(0, 3 * g + 7), label="r")
+    m = data.draw(st.integers(lam, lam + 2 * g + 2), label="m")
+    size = len(bounds.n_set(profile, r, m))
+    assert r + 2 - bisect_right(bounds._fail_thresholds(profile, m), r) == size
+    assert bounds.n_set_size(profile, r, m) == size
 
 
 @settings(max_examples=100, deadline=None)
@@ -188,6 +238,19 @@ def test_lemma62_diagnostic():
         bounds.lemma62_diagnostic(HYPER2, 1, 3)  # ell too small
 
 
+@settings(max_examples=200, deadline=None)
+@given(profile=THRESHOLD_PROFILES, data=st.data())
+def test_diagnostic_counts_a_without_listing_it(profile, data):
+    """The diagnostic's #A, the nongaps in [1, ell], is len(A) of the listed
+    decomposition."""
+    lam, least = profile.lambda_sigma, profile.lambda_rho + profile.s_index - 1
+    ell = data.draw(st.integers(least, least + 3 * profile.genus + 5), label="ell")
+    m = data.draw(st.integers(lam, 2 * lam - 1), label="m")
+    a_set = bounds.abc_decomposition(profile, ell, m)[0]
+    rep = bounds.lemma62_diagnostic(profile, ell, m)
+    assert rep["formula"] == ell + 2 - profile.genus + len(a_set)
+
+
 def test_bound_table():
     rows = bounds.bound_table(HYPER2, range(2, 5), [3])
     assert [r[3] for r in rows] == [4, 4, 5]
@@ -236,6 +299,23 @@ def test_bound_table_error_is_first_failing_cell():
         bounds.bound_table(HYPER2, [0, -1], [3, 1, 0])
     with pytest.raises(NegativeEll):
         bounds.bound_table(HYPER2, [-1, 0], [1])
+
+
+def test_bound_table_too_large_is_refused_before_listing():
+    """Rows (#ell x #m) and N-set counts ((ell span + genus + 1) x #m) are
+    capped at 2^20, read from the sizes: a range of 10^18 is never walked."""
+    with pytest.raises(TableTooLarge, match=r"^table has 10{18} rows \(> 1048576\)$"):
+        bounds.bound_table(HYPER2, range(10**18), [3])
+    with pytest.raises(TableTooLarge, match=r"^table has 2000000 rows"):
+        bounds.bound_table(HYPER2, range(1000), range(3, 2003))
+    with pytest.raises(TableTooLarge, match=r"^table needs 100000003 N-set counts \(> 1048576\)$"):
+        bounds.bound_table(HYPER2, [0, 10**8], [3])
+    with pytest.raises(TableTooLarge, match=r"^table needs 1049600 N-set counts"):
+        bounds.bound_table(HYPER2, range(1023), range(3, 1027))
+    # at the cap: 2^20 counts (ell span 2^20 - 3, genus 2)
+    assert len(bounds.bound_table(HYPER2, [0, 2**20 - 3], [3])) == 2
+    with pytest.raises(TableTooLarge):
+        bounds.bound_table(HYPER2, [0, 2**20 - 2], [3])
 
 
 def test_csv_format():

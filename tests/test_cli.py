@@ -497,13 +497,16 @@ def guard_dir(tmp_path_factory):
     """Input files for path options: valid, malformed, a directory, missing."""
     d = tmp_path_factory.mktemp("guard")
     _startup_inputs(d)
+    assert main(["profile", "--hyperelliptic-gamma", "20000", "--out", str(d / "g20000.json")]) == 0
     (d / "text.json").write_text("not json")
     (d / "gaps.json").write_text('{"gaps": [1, "a"], "entries": {"1": -4}}')
     return d
 
 
 _INT = st.one_of(st.integers(-2, 9), st.sampled_from([10**3, 10**8])).map(str)
-_RANGE = st.tuples(st.integers(0, 12), st.integers(-1, 12)).map(lambda r: f"{r[0]}..{r[1]}")
+_RANGE = st.one_of(
+    st.tuples(st.integers(0, 12), st.integers(-1, 12)).map(lambda r: f"{r[0]}..{r[1]}"),
+    st.just("0..100000000"))
 _PATH = st.sampled_from(["ns.json", "tps.json", "prof.json", "text.json", "gaps.json",
                          "missing.json", ""]).map(lambda name: "{tmp}/" + name)
 _GENERATORS = st.lists(st.integers(-1, 12), min_size=1, max_size=3).map(
@@ -547,6 +550,13 @@ def _guard_argv(draw):
 @example(argv=["profile", "--hyperelliptic-gamma", "0"])
 @example(argv=["profile", "--hyperelliptic-gamma", "100000000"])
 @example(argv=["axioms", "--model", "ideal", "--p", "7", "--bound", "6"])
+@example(argv=["bound", "--profile", "{tmp}/g20000.json", "--ell", "0", "--m", "20000"])
+@example(argv=["bound", "--profile", "{tmp}/prof.json", "--ell", "100000000", "--m", "3",
+               "--diagnose"])
+@example(argv=["bound", "--profile", "{tmp}/prof.json", "--ell", "0", "--m", "3", "--table",
+               "--ell-range", "0..100000000"])
+@example(argv=["bound", "--profile", "{tmp}/prof.json", "--ell", "0", "--m", "3", "--table",
+               "--m-range", "3..100000000"])
 def test_every_argv_ends_in_an_exit_code(guard_dir, capsys, argv):
     """cli.main in-process: exit 0, 1 or 2, no exception, and at most
     GUARD_SECONDS of wall time."""
@@ -570,14 +580,25 @@ LONG_OR_RAISED = [
     (["profile", "--hyperelliptic-gamma", "0"], 1, "ProfileBijectionViolation", 1.0),
     (["profile", "--hyperelliptic-gamma", "100000000"], 1, "SemigroupTooLarge", 1.0),
     (["axioms", "--model", "ideal", "--p", "7", "--bound", "6"], 0, None, 2.0),  # 799 elements
+    # d_nord of genus 20000 (29 s when each window count walked every gap)
+    (["bound", "--profile", "{tmp}/g20000.json", "--ell", "0", "--m", "20000"], 0, None, 2.0),
+    (["bound", "--profile", "{tmp}/prof.json", "--ell", "100000000", "--m", "3", "--diagnose"],
+     0, None, 2.0),
+    (["bound", "--profile", "{tmp}/prof.json", "--ell", "0", "--m", "3", "--table",
+      "--ell-range", "0..100000000"], 1, "TableTooLarge", 2.0),
+    (["bound", "--profile", "{tmp}/prof.json", "--ell", "0", "--m", "3", "--table",
+      "--m-range", "3..100000000"], 1, "TableTooLarge", 2.0),
 ]
 
 
 @pytest.mark.parametrize("argv,code,error,seconds", LONG_OR_RAISED,
                          ids=[" ".join(case[0]) for case in LONG_OR_RAISED])
-def test_inputs_that_ran_long_or_raised(capsys, argv, code, error, seconds):
+def test_inputs_that_ran_long_or_raised(guard_dir, capsys, argv, code, error, seconds):
     """A 0 is a value, not "not given"; the hyperelliptic cap comes before
-    the profile is built; the ideal model runs on weight rows."""
+    the profile is built; the ideal model runs on weight rows; d_nord counts
+    from thresholds, the diagnostic counts #A without listing it, and a
+    table is refused from its sizes."""
+    argv = [a.format(tmp=guard_dir) for a in argv]
     start = time.perf_counter()
     got, _, err = run(capsys, *argv)
     assert time.perf_counter() - start < seconds

@@ -54,13 +54,13 @@ def _build(kind: str, p: int, k: int):
     """kind names the model; (p, k) is the field, or (q, 1) for curves."""
     F = make_field(p, k)
     if kind.startswith("constant-"):
-        return models.model_constant(F, int(kind[-1]))
+        return models.ConstantModel(F, int(kind[-1]))
     if kind == "ideal-t^2":
-        return models.model_ideal(F, [0, 0, 1])
+        return models.IdealModel(F, [0, 0, 1])
     if kind == "ideal-t+1":
-        return models.model_ideal(F, [1, 1])
+        return models.IdealModel(F, [1, 1])
     if kind == "laurent":
-        return models.model_laurent(F)
+        return models.LaurentModel(F)
     if kind == "broken-laurent":
         return Broken(F)
     if kind == "halved-laurent":
@@ -69,10 +69,10 @@ def _build(kind: str, p: int, k: int):
         return models.normalize(Doubled(F), 3)
     curve = HermitianCurve(p)
     if kind == "normalized-curve-rho":
-        return models.normalize(models.model_curve(curve, "rho"), 4)
+        return models.normalize(models.CurveValuationModel(curve, "rho"), 4)
     if kind == "halved-curve-rho":
         return _halved(models.CurveValuationModel)(curve, "rho")
-    return models.model_curve(curve, kind.split("-")[1])
+    return models.CurveValuationModel(curve, kind.split("-")[1])
 
 
 # (model, p, k, bound, also check filtration and normalize)

@@ -27,7 +27,7 @@ F4 = make_field(2, 2)
 
 
 def test_constant_model_values():
-    m = models.model_constant(F2, 3)
+    m = models.ConstantModel(F2, 3)
     assert m.rho(m.zero()) == NEG_INF
     assert m.rho(m.one()) == 3
     assert m.rho(((0, 1), (5, 1))) == 3  # t^5 + 1
@@ -35,30 +35,31 @@ def test_constant_model_values():
 
 
 def test_ideal_model_values():
-    m = models.model_ideal(F2, [0, 0, 1])  # g = t^2
+    m = models.IdealModel(F2, [0, 0, 1])  # g = t^2
     assert m.rho(((2, 1),)) == 0  # t^2
     assert m.rho(((1, 1),)) == 1  # t
     assert m.rho(()) == NEG_INF
     assert m.rho(m.one()) == 1
     with pytest.raises(GIsConstant):
-        models.model_ideal(F2, [1])
+        models.IdealModel(F2, [1])
 
 
 def test_ideal_coefficients_must_be_field_elements():
     # 2 is not an element index of GF(2): refused before any sampling
     for g in ([2, 0, 1], [-1, 1], [0, 1.5]):
         with pytest.raises(CoefficientOutOfRange):
-            models.model_ideal(F2, g)
-    assert models.model_ideal(F4, [3, 0, 1]).g == (3, 0, 1)
+            models.IdealModel(F2, g)
+    assert models.IdealModel(F4, [3, 0, 1]).g == (3, 0, 1)
 
 
 def test_laurent_model_values():
-    m = models.model_laurent(F4)
+    m = models.LaurentModel(F4)
+    assert type(models.model_laurent(F4)) is models.LaurentModel  # the benchmark's entry
     x = ((1, 1),)
     y = ((-1, 1),)
-    x3_plus_x = m.add(sref.mul(m, sref.mul(m, x, x), x), x)
+    x3_plus_x = sref.add(m, sref.mul(m, sref.mul(m, x, x), x), x)
     assert m.rho(x3_plus_x) == 0
-    y2_plus_x = m.add(sref.mul(m, y, y), x)
+    y2_plus_x = sref.add(m, sref.mul(m, y, y), x)
     assert m.rho(y2_plus_x) == 2
     assert sref.mul(m, x, y) == m.one()  # the defining relation
     assert m.rho(sref.mul(m, x, y)) == 0
@@ -66,7 +67,7 @@ def test_laurent_model_values():
 
 def test_curve_model_values():
     c2 = HermitianCurve(2)
-    m = models.model_curve(c2, "rho")
+    m = models.CurveValuationModel(c2, "rho")
     assert m.rho(ref.monomial(c2, 1, 0).support) == 2  # x has pole order q at infinity
     assert m.rho(ref.one(c2).support) == 0
     assert m.rho(ref.monomial(c2, 2, -1).support) == 1
@@ -79,7 +80,7 @@ def test_curve_model_values():
 
 def test_laurent_axioms_pass():
     for field in (F2, F4):
-        rep = models.axiom_check(models.model_laurent(field), 3)
+        rep = models.axiom_check(models.LaurentModel(field), 3)
         assert rep.all_near_weight_pass()
         assert rep.passed("lemma_lambda_unique")
         assert rep.passed("lemma_max_rule")
@@ -92,7 +93,7 @@ def test_laurent_axioms_pass():
 
 
 def test_constant_model_not_an_order():
-    rep = models.axiom_check(models.model_constant(F2, 0), 3)
+    rep = models.axiom_check(models.ConstantModel(F2, 0), 3)
     for axiom in ("N0", "N1", "N2", "N3", "N4"):
         assert rep.passed(axiom)
     assert rep.passed("order_classification")
@@ -101,7 +102,7 @@ def test_constant_model_not_an_order():
 
 
 def test_ideal_model_axioms():
-    rep = models.axiom_check(models.model_ideal(F2, [0, 0, 1]), 3)
+    rep = models.axiom_check(models.IdealModel(F2, [0, 0, 1]), 3)
     for axiom in ("N0", "N1", "N2", "N3", "N4"):
         assert rep.passed(axiom)
     assert not rep.entries["order_classification"]["is_order"]
@@ -120,11 +121,11 @@ def test_broken_model_yields_witness():
     w = rep.entries["N2"]["witness"]
     # the witness is checkable by hand
     m = Broken(F2)
-    assert m.rho(m.add(w["f"], w["g"])) > max(m.rho(w["f"]), m.rho(w["g"]))
+    assert m.rho(sref.add(m, w["f"], w["g"])) > max(m.rho(w["f"]), m.rho(w["g"]))
 
 
 def test_report_json_shape():
-    rep = models.axiom_check(models.model_laurent(F2), 2)
+    rep = models.axiom_check(models.LaurentModel(F2), 2)
     data = rep.to_json()
     assert data["model"] == "laurent"
     entries = {e["axiom"]: e for e in data["results"]}
@@ -134,10 +135,10 @@ def test_report_json_shape():
 
 
 def test_deterministic_enumeration():
-    m = models.model_laurent(F4)
+    m = models.LaurentModel(F4)
     assert m.elements(3) == m.elements(3)
     rep1 = models.axiom_check(m, 3).dumps()
-    rep2 = models.axiom_check(models.model_laurent(F4), 3).dumps()
+    rep2 = models.axiom_check(models.LaurentModel(F4), 3).dumps()
     assert rep1 == rep2
 
 
@@ -147,13 +148,13 @@ def test_deterministic_enumeration():
 def test_normalize_scales_by_gcd():
     norm = models.normalize(DoubledWeight(F2), 3)
     assert norm.divisor == 2
-    m = models.model_laurent(F2)
+    m = models.LaurentModel(F2)
     for f in m.elements(3):
         assert norm.rho(f) == m.rho(f) == sref.normalized_rho(norm, f)
 
 
 def test_normalize_identity_when_gcd_one():
-    m = models.model_laurent(F2)
+    m = models.LaurentModel(F2)
     norm = models.normalize(m, 3)
     assert norm.divisor == 1
     for f in m.elements(3):
@@ -162,7 +163,7 @@ def test_normalize_identity_when_gcd_one():
 
 def test_normalize_trivial_model_rejected():
     with pytest.raises(TrivialModel):
-        models.normalize(models.model_constant(F2, 0), 3)
+        models.normalize(models.ConstantModel(F2, 0), 3)
 
 
 def test_normalized_membership_unchanged():
@@ -177,19 +178,19 @@ def test_normalized_membership_unchanged():
 
 
 def test_filtration_laurent():
-    rep = models.filtration_check(models.model_laurent(F2), 4)
+    rep = models.filtration_check(models.LaurentModel(F2), 4)
     assert rep["verdict"] == "PASS"
     assert rep["weight_product_rule"]
 
 
 def test_filtration_curve_sigma():
-    rep = models.filtration_check(models.model_curve(HermitianCurve(2), "sigma"), 4)
+    rep = models.filtration_check(models.CurveValuationModel(HermitianCurve(2), "sigma"), 4)
     assert rep["verdict"] == "PASS"
 
 
 def test_filtration_trivial_rejected():
     with pytest.raises(TrivialModel):
-        models.filtration_check(models.model_constant(F2, 1), 3)
+        models.filtration_check(models.ConstantModel(F2, 1), 3)
 
 
 def test_filtration_empty_level_named():
@@ -207,8 +208,8 @@ def test_filtration_empty_level_named():
 
 def test_curve_pair_well_agreeing():
     c2 = HermitianCurve(2)
-    mr = models.model_curve(c2, "rho")
-    ms = models.model_curve(c2, "sigma")
+    mr = models.CurveValuationModel(c2, "rho")
+    ms = models.CurveValuationModel(c2, "sigma")
     sample = mr.elements(4)
     T = c2.two_point_semigroup()
     box = T.box
@@ -228,7 +229,7 @@ def test_curve_pair_well_agreeing():
 
 
 def test_unit_part_closed_under_product():
-    m = models.model_laurent(F4)
+    m = models.LaurentModel(F4)
     units = [f for f in m.elements(2) if not m.is_zero(f) and m.in_unit_part(f)]
     for f in units:
         for g in units:
@@ -292,13 +293,13 @@ def _field_and_dense_pair(draw):
 def test_polynomial_algebra_matches_dense(case, lam):
     F, f, g = case
     lam %= F.q
-    m = models.model_constant(F, 1)
+    m = models.ConstantModel(F, 1)
     sf, sg = _sparse(f), _sparse(g)
     assert m.show(sf) == f and m.show(sg) == g
     assert m.show(sref.mul(m, sf, sg)) == _dense_mul(F, f, g)
-    assert m.show(m.add(sf, sg)) == _dense_add(F, f, g)
+    assert m.show(sref.add(m, sf, sg)) == _dense_add(F, f, g)
     assert m.show(sref.sub(m, sf, sf)) == ()
-    assert m.show(m.scale(lam, sf)) == _dense_add(F, tuple(F.mul(lam, c) for c in f), ())
+    assert m.show(sref.scale(m, lam, sf)) == _dense_add(F, tuple(F.mul(lam, c) for c in f), ())
 
 
 @settings(max_examples=300, deadline=None)
@@ -307,7 +308,7 @@ def test_laurent_mul_matches_exponent_sums(F, data):
     pairs = st.dictionaries(st.integers(-4, 4), st.integers(1, F.q - 1), max_size=5).map(
         lambda d: tuple(sorted(d.items())))
     f, g = data.draw(pairs), data.draw(pairs)
-    m = models.model_laurent(F)
+    m = models.LaurentModel(F)
     assert sref.mul(m, f, g) == _laurent_mul(F, f, g)
     assert sref.mul(m, f, g) == sref.mul(m, g, f)
 
@@ -330,12 +331,12 @@ def _curve_functions(draw):
 def test_curve_algebra_matches_two_point_functions(case):
     curve, f, g, lam = case
     for which in ("rho", "sigma"):
-        m = models.model_curve(curve, which)
+        m = models.CurveValuationModel(curve, which)
         a, b = f.support, g.support
-        assert m.add(a, b) == (f + g).support
+        assert sref.add(m, a, b) == (f + g).support
         assert sref.sub(m, a, b) == (f - g).support
         assert sref.mul(m, a, b) == (f * g).support
-        assert m.scale(lam, a) == f.scale(lam).support
+        assert sref.scale(m, lam, a) == f.scale(lam).support
         assert m.show(a) == str(f)
         if not f.is_zero():
             val = f.valuations()
@@ -364,14 +365,14 @@ IDEAL_GS = ([0, 0, 1], [1, 1], [1, 0, 1])  # t^2, t + 1, t^2 + 1
 
 # (model, bound): every model of `models` is a weight model
 WEIGHT_MODELS = [
-    *((models.model_constant(F, c), 3) for F in ROW_FIELDS for c in (0, 2)),
-    *((models.model_ideal(F, g), 4) for F in ROW_FIELDS[:3] for g in IDEAL_GS),
-    *((models.model_laurent(F), 2) for F in ROW_FIELDS),
-    *((models.model_curve(curve, which), 3) for curve in CURVES.values()
+    *((models.ConstantModel(F, c), 3) for F in ROW_FIELDS for c in (0, 2)),
+    *((models.IdealModel(F, g), 4) for F in ROW_FIELDS[:3] for g in IDEAL_GS),
+    *((models.LaurentModel(F), 2) for F in ROW_FIELDS),
+    *((models.CurveValuationModel(curve, which), 3) for curve in CURVES.values()
       for which in ("rho", "sigma")),
     *((models.normalize(DoubledWeight(F), 1), 2) for F in ROW_FIELDS[:3]),
     *((models.normalize(LiftedWeight(F), 2), 2) for F in ROW_FIELDS[:2]),
-    (models.normalize(models.model_curve(CURVES[2], "rho"), 4), 3),
+    (models.normalize(models.CurveValuationModel(CURVES[2], "rho"), 4), 3),
 ]
 
 
@@ -413,12 +414,12 @@ def test_rows_match_the_algebra(case):
     for rows in (fast, sref.SparseRows(model, elements)):
         assert rows.rhos == [rho(f) for f in elements]
         for i, f in enumerate(elements):
-            assert rows.scaled_rhos(i) == [rho(model.scale(lam, f)) for lam in units]
-            assert rows.sum_rhos(i) == [rho(model.add(f, g)) for g in elements[i:]]
+            assert rows.scaled_rhos(i) == [rho(sref.scale(model, lam, f)) for lam in units]
+            assert rows.sum_rhos(i) == [rho(sref.add(model, f, g)) for g in elements[i:]]
             assert rows.product_rhos(i, range(n)) == [rho(sref.mul(model, f, g))
                                                       for g in elements]
             for j, g in enumerate(elements):
-                diffs = [rho(sref.sub(model, f, model.scale(lam, g))) for lam in units]
+                diffs = [rho(sref.sub(model, f, sref.scale(model, lam, g))) for lam in units]
                 for limit in {NEG_INF, *diffs, *(r + 0.5 for r in diffs)}:
                     for strict in (True, False):
                         want = [lam for lam, r in zip(units, diffs)
@@ -428,9 +429,10 @@ def test_rows_match_the_algebra(case):
 
 def test_ideal_elements_are_in_the_basis_adapted_to_g():
     F3 = make_field(3, 1)
-    m = models.model_ideal(F3, [1, 1])  # g = 1 + t: key e >= 1 is t^(e-1) * g
-    assert m.basis(2) == [((0, 1),), ((0, 2), (1, 1)), ((0, 1), (1, 2), (2, 1))]
-    assert [m.show(f) for f in m.basis(2)] == [(1,), (0, 1), (0, 0, 1)]
+    m = models.IdealModel(F3, [1, 1])  # g = 1 + t: key e >= 1 is t^(e-1) * g
+    basis = [m._from_terms(((e, 1),)) for e in m.basis_keys(2)]  # t^0, t^1, t^2
+    assert basis == [((0, 1),), ((0, 2), (1, 1)), ((0, 1), (1, 2), (2, 1))]
+    assert [m.show(f) for f in basis] == [(1,), (0, 1), (0, 0, 1)]
     assert m.rho(((0, 2), (1, 1))) == 1  # t
     assert m.rho(((1, 1), (2, 2))) == 0  # g + 2 t g
     for e1 in range(4):
@@ -513,7 +515,7 @@ class SparseNormalized(sref.Sparse, models.NormalizedModel):
     (DoubledWeight(F2), 3),
     (DoubledWeight(make_field(3, 1)), 2),
     (LiftedWeight(F2), 3),
-    (models.model_curve(HermitianCurve(2), "sigma"), 4),
+    (models.CurveValuationModel(HermitianCurve(2), "sigma"), 4),
 ], ids=["doubled-gf2", "doubled-gf3", "lifted-gf2", "curve-sigma"])
 def test_normalized_weight_model_matches_the_reference(base, bound):
     norm = models.normalize(base, bound)
@@ -525,7 +527,7 @@ def test_normalized_weight_model_matches_the_reference(base, bound):
             == _outcome(lambda: models.filtration_check(slow, bound)))
     if type(base) is DoubledWeight:  # halving the doubled weight gives the Laurent model
         assert norm.divisor == 2
-        laurent = models.axiom_check(models.model_laurent(base.field), bound).dumps()
+        laurent = models.axiom_check(models.LaurentModel(base.field), bound).dumps()
         assert json.loads(got)["results"] == json.loads(laurent)["results"]
 
 
@@ -543,7 +545,7 @@ def test_own_rho_without_rows_is_refused(model):
         with pytest.raises(TypeError, match="defines its own rho but no rows"):
             check(model, 2)
     assert (models.axiom_check(sref.sparse(OwnRho)(F2), 2).dumps()
-            == models.axiom_check(models.model_laurent(F2), 2).dumps())
+            == models.axiom_check(models.LaurentModel(F2), 2).dumps())
 
 
 # -- triple axioms: scalar classes against every sample index ----------------
@@ -569,12 +571,12 @@ class BrokenSparse(sref.Sparse, models.LaurentModel):
 
 F3 = make_field(3, 1)
 CLASS_MODELS = [
-    (models.model_constant(F3, 1), 3),
-    (models.model_ideal(F2, [1, 1]), 5),
-    (models.model_ideal(F3, [1, 0, 1]), 3),
-    (models.model_ideal(F4, [0, 0, 1]), 2),
-    (models.model_laurent(F3), 2),
-    (models.model_curve(HermitianCurve(2), "rho"), 2),
+    (models.ConstantModel(F3, 1), 3),
+    (models.IdealModel(F2, [1, 1]), 5),
+    (models.IdealModel(F3, [1, 0, 1]), 3),
+    (models.IdealModel(F4, [0, 0, 1]), 2),
+    (models.LaurentModel(F3), 2),
+    (models.CurveValuationModel(HermitianCurve(2), "rho"), 2),
     (models.normalize(DoubledWeight(F3), 2), 2),
     (AbsWeight(F3), 1),
     (CurveShifted(HermitianCurve(2), "sigma"), 2),
@@ -604,17 +606,37 @@ def test_scalar_classes_give_the_report_of_every_index(case):
 
 
 @pytest.mark.parametrize("model,bounds", [
-    (models.model_constant(F2, 1), range(0, 14)),  # full span up to 2^12
-    (models.model_laurent(make_field(3, 1)), range(0, 5)),
-    (models.model_laurent(make_field(3, 2)), range(0, 4)),
-    (models.model_ideal(F4, [0, 0, 1]), range(0, 5)),
-    (models.model_curve(HermitianCurve(2), "sigma"), range(-1, 6)),
+    (models.ConstantModel(F2, 1), range(0, 14)),  # full span up to 2^12
+    (models.LaurentModel(make_field(3, 1)), range(0, 5)),
+    (models.LaurentModel(make_field(3, 2)), range(0, 4)),
+    (models.IdealModel(F4, [0, 0, 1]), range(0, 5)),
+    (models.CurveValuationModel(HermitianCurve(2), "sigma"), range(-1, 6)),
     (models.normalize(DoubledWeight(F2), 3), range(0, 5)),
-    (models.model_ideal(make_field(3, 1), [1, 1]), range(0, 6)),
+    (models.IdealModel(make_field(3, 1), [1, 1]), range(0, 6)),
 ], ids=lambda v: getattr(v, "name", None))
 def test_sample_size_is_the_closed_form(model, bounds):
     for bound in bounds:
         assert model.sample_size(bound) == len(model.elements(bound))
+
+
+@pytest.mark.parametrize("model,bounds", [
+    (models.ConstantModel(F2, 1), range(0, 14)),  # two-monomial from 13 basis keys
+    (models.ConstantModel(make_field(5, 1), 0), range(0, 7)),
+    (models.LaurentModel(F3), range(0, 5)),
+    (models.LaurentModel(F4), range(0, 4)),
+    (models.IdealModel(F2, [0, 0, 1]), range(0, 13)),
+    (models.IdealModel(F4, [1, 1, 1]), range(0, 8)),  # two-monomial from bound 6
+    (models.IdealModel(F3, [2, 1, 0, 1]), range(0, 10)),  # two-monomial from bound 8
+    (models.CurveValuationModel(HermitianCurve(2), "rho"), range(-1, 6)),
+    (models.CurveValuationModel(HermitianCurve(3), "sigma"), range(0, 4)),
+    (models.normalize(DoubledWeight(F2), 3), range(0, 6)),
+    (models.NormalizedModel(models.IdealModel(F3, [1, 0, 1]), 1), range(0, 9)),
+], ids=lambda v: getattr(v, "name", None))
+def test_elements_are_the_arithmetic_sample(model, bounds):
+    """The sample built from basis keys is the one the sparse algebra builds
+    by sums of multiples of the basis monomials, in the same order."""
+    for bound in bounds:
+        assert model.elements(bound) == sref.elements(model, bound)
 
 
 class NoBuild(models.ConstantModel):
