@@ -5,11 +5,15 @@ The evaluation support is every affine point of the curve except the base
 point (0, 0), in lexicographic (x-index, y-index) order, so n = q^3 - 1 and
 all matrices are bit-reproducible.
 
+The dimension of E_l^m is counted from two Riemann-Roch dimensions
+(`dimension`), and that count alone decides saturation in `build_E`,
+`saturation_index` and `layer_membership`.
+
 Per-curve caches live on the HermitianCurve instance (`_cache`) and last as
 long as it does: the evaluation points and the closed-form profile; the
 image vector of each monomial x^a y^b, keyed on (a, b) and shared by
-`evaluation_matrix` and the good-basis images h_t of `basis_images`, kept in
-order of t; and `saturation_index`, keyed on m.
+`evaluation_matrix` and the good-basis images h_t of `basis_images`; and
+`saturation_index`, keyed on m.
 """
 
 from __future__ import annotations
@@ -19,12 +23,7 @@ import json
 from functools import cached_property
 
 from . import linalg
-from .errors import (
-    MBelowLambda,
-    SaturationNotReached,
-    SearchTooLarge,
-    WordNotInLayer,
-)
+from .errors import MBelowLambda, SearchTooLarge, WordNotInLayer
 from .field import Field
 from .hermitian import HermitianCurve
 from .value import Value
@@ -122,7 +121,6 @@ class _CurveCache:
         self.points = sorted(p for p in curve.points if p != (0, 0))
         self.profile = curve.profile_closed_form()
         self.images: dict[tuple[int, int], tuple[int, ...]] = {}
-        self.basis: list[tuple[int, ...]] = []  # h_0, h_1, ...
         self.saturation: dict[int, int] = {}
 
 
@@ -159,12 +157,20 @@ def evaluation_matrix(curve: HermitianCurve, ell: int, m: int) -> list[list[int]
     return [list(_image(curve, key)) for key in curve.riemann_roch_basis(ell, m)]
 
 
+def dimension(curve: HermitianCurve, ell: int, m: int) -> int:
+    """dim E_ell^m, counted.  x^(q^2) - x has divisor D + Q2 - q^3 Q1, D the
+    n evaluation points, so the functions of L(ell Q1 + m Q2) that vanish on
+    D are L((ell - q^3) Q1 + (m + 1) Q2) times x^(q^2) - x."""
+    dim = curve.riemann_roch_dimension
+    return dim(ell, m) - dim(ell - curve.q**3, m + 1)
+
+
 def build_E(curve: HermitianCurve, ell: int, m: int) -> LinearCode:
-    """E_ell^m, row-reduced.  By Riemann-Roch, E_ell^m = F^n once ell + m
-    >= n + 2*genus - 1, so the identity is returned with nothing listed."""
+    """E_ell^m, row-reduced; the identity, with nothing listed, once
+    `dimension` says it is the full space F^n."""
     _check_m(curve, m)
     n = len(_cache(curve).points)
-    if ell + m >= n + 2 * curve.genus - 1:
+    if dimension(curve, ell, m) == n:
         identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         return LinearCode(curve.field, n, identity)
     return LinearCode.from_rows(evaluation_matrix(curve, ell, m), curve.field, n)
@@ -176,29 +182,15 @@ def build_C(curve: HermitianCurve, ell: int, m: int) -> LinearCode:
 
 
 def saturation_index(curve: HermitianCurve, m: int) -> int:
-    """Least L with E_L^m = the full space F^n.  E_ell^m grows with ell, so
-    one echelon basis takes in the new monomials of each ell in turn."""
+    """Least L >= 0 with E_L^m = the full space F^n.  By Riemann-Roch it is
+    at most max(0, n + 2*genus - 1 - m), so the counted search is short."""
     _check_m(curve, m)
     cache = _cache(curve)
     if m not in cache.saturation:
-        F, n = curve.field, len(cache.points)
-        cap = n + 2 * curve.genus + 1
-        rows, pivots, seen = [], [], set()
-        for ell in range(cap + 1):
-            for key in curve.riemann_roch_basis(ell, m):
-                if key in seen:
-                    continue
-                seen.add(key)
-                v = linalg.reduce(_image(curve, key), rows, pivots, F)
-                pc = next((c for c, x in enumerate(v) if x), None)
-                if pc is not None:
-                    rows.append(F.scale_row(F.inv(v[pc]), v))
-                    pivots.append(pc)
-            if len(rows) == n:
-                cache.saturation[m] = ell
-                break
-        else:
-            raise SaturationNotReached(f"rank never reached {n} up to ell = {cap}")
+        n = len(cache.points)
+        cache.saturation[m] = next(
+            ell for ell in range(n + 2 * curve.genus) if dimension(curve, ell, m) == n
+        )
     return cache.saturation[m]
 
 
@@ -215,10 +207,7 @@ class SyndromeMatrix(Value):
 
 def basis_images(curve: HermitianCurve, count: int) -> list[list[int]]:
     """h_t = evaluation of the canonical good-basis function f_t, t = 0..count-1."""
-    basis = _cache(curve).basis
-    for t in range(len(basis), count):
-        basis.append(_image(curve, curve.good_basis_function(t)))
-    return [list(h) for h in basis[:count]]
+    return [list(_image(curve, curve.good_basis_function(t))) for t in range(count)]
 
 
 def syndrome_matrix(curve: HermitianCurve, m: int, word, L: int) -> SyndromeMatrix:
@@ -230,10 +219,13 @@ def syndrome_matrix(curve: HermitianCurve, m: int, word, L: int) -> SyndromeMatr
 
 
 def layer_membership(curve: HermitianCurve, ell: int, m: int, word) -> tuple[bool, bool]:
-    """(word in C_ell^m, word in C_{ell+1}^m) via orthogonality tests."""
-    F = curve.field
+    """(word in C_ell^m, word in C_{ell+1}^m) via orthogonality tests; from
+    the saturation index on, C_l^m = {0} and nothing is listed."""
+    F, saturated = curve.field, saturation_index(curve, m)
 
     def orthogonal(l):
+        if l >= saturated:
+            return not any(word)
         return all(F.dot(row, word) == 0 for row in evaluation_matrix(curve, l, m))
 
     return orthogonal(ell), orthogonal(ell + 1)

@@ -113,9 +113,5 @@ class SearchTooLarge(NordError):
     pass
 
 
-class SaturationNotReached(NordError):
-    pass
-
-
 class WordNotInLayer(NordError):
     pass

@@ -106,10 +106,6 @@ class NumericalSemigroup(Value):
     def largest_gap(self) -> int:
         return max(self.gaps) if self.gaps else 0
 
-    @property
-    def conductor(self) -> int:
-        return self.largest_gap + 1 if self.gaps else 0
-
     def __contains__(self, n: int) -> bool:
         return n >= 0 and n not in self.gaps
 

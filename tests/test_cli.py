@@ -227,6 +227,20 @@ def test_usage_errors(capsys):
     assert run(capsys)[0] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    (),
+    ("nonsense",),
+    ("bound", "--profile", "x.json"),
+    ("semigroup", "--generators", "3,x"),
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_usage_errors_exit_2_from_the_module(argv):
+    """`python -m nordcodes.cli` exits 2 with a usage message, no traceback."""
+    proc = subprocess.run([sys.executable, "-m", "nordcodes.cli", *argv], env=_child_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "usage:" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_missing_file(capsys):
     code, _, err = run(
         capsys, "bound", "--profile", "/nonexistent.json", "--ell", "2", "--m", "3"
@@ -467,10 +481,12 @@ def test_package_exports_resolve_lazily():
     (("code", "verify", "--q", "2", "--ell", "3000000", "--m", "1"), '"verdict": "PASS"'),
     (("code", "build", "--q", "2", "--ell", "100000000", "--m", "1"), '"k": 7'),
     (("code", "build", "--q", "2", "--ell", "1", "--m", "100000000"), '"k": 7'),
+    (("code", "build", "--q", "4", "--ell", "11", "--m", "60"), '"k": 63'),
 ])
 def test_code_on_saturated_sizes(capsys, argv, expected):
-    """Codes with ell + m >= n + 2*genus - 1 are the full space: built at once
-    from Riemann-Roch, however large ell or m."""
+    """Codes whose counted dimension is n are the full space and are built
+    at once, however large ell or m; q = 4, ell = 11, m = 60 is three below
+    the Riemann-Roch line ell + m = n + 2*genus - 1."""
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert code == 0 and err == "" and expected in out

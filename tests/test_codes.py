@@ -204,25 +204,63 @@ def test_saturation_index(c2):
     assert ranks[6] == 7 and ranks[5] < 7
 
 
-SMALL_CURVES = {q: HermitianCurve(q) for q in (2, 3)}
+SMALL_CURVES = {q: HermitianCurve(q) for q in (2, 3, 4)}
+
+
+@st.composite
+def code_cells(draw):
+    q = draw(st.sampled_from([2, 3]))
+    curve = SMALL_CURVES[q]
+    n, g = q**3 - 1, curve.genus
+    lam = curve.profile_closed_form().lambda_sigma
+    return q, draw(st.integers(-12, n + 2 * g + 1)), draw(st.integers(lam, lam + 39))
+
+
+@settings(max_examples=120, deadline=None)
+@given(code_cells())
+@example((4, 10, 60))
+@example((4, 11, 60))  # saturated below ell + m = n + 2*genus - 1 = 74
+@example((4, 12, 60))
+@example((4, 13, 60))
+@example((4, 14, 60))
+@example((4, 0, 3))
+@example((4, 40, 20))
+def test_dimension_is_the_rank_of_the_listed_matrix(cell):
+    q, ell, m = cell
+    curve = SMALL_CURVES[q]
+    assert codes.dimension(curve, ell, m) == rank(codes.evaluation_matrix(curve, ell, m), curve.field)
 
 
 @settings(max_examples=80, deadline=None)
 @given(q=st.sampled_from([2, 3]), m_up=st.integers(0, 36), past=st.integers(-4, 5))
 @example(q=2, m_up=0, past=-2)  # E_5^1 is not yet F^7
 def test_saturated_build_E_is_the_listed_code(q, m_up, past):
-    """From ell + m = n + 2*genus - 1 on (past >= 0), build_E gives the
-    identity with no basis listed; on both sides of that line it equals the
-    RREF of the listed evaluation matrix."""
+    """Around ell + m = n + 2*genus - 1, build_E equals the RREF of the
+    listed evaluation matrix; that code is the full space exactly when the
+    counted dimension is n, and then build_E gives the identity unlisted."""
     curve = SMALL_CURVES[q]
     n, g = len(codes.evaluation_points(curve)), curve.genus
     m = curve.profile_closed_form().lambda_sigma + m_up
     ell = n + 2 * g - 1 + past - m
     listed = codes.LinearCode.from_rows(codes.evaluation_matrix(curve, ell, m), curve.field, n)
     assert codes.build_E(curve, ell, m) == listed
+    assert (listed.k == n) == (codes.dimension(curve, ell, m) == n)
     if past >= 0:
         assert listed.k == n
     assert codes.saturation_index(curve, m) <= max(0, n + 2 * g - 1 - m)
+
+
+def test_huge_m_is_counted_not_listed():
+    """At m = 10^8 every code is saturated: the index is counted, and the
+    layer test reads C_l^m = {0} with no evaluation matrix listed."""
+    curve = HermitianCurve(2)
+    start = time.perf_counter()
+    assert codes.saturation_index(curve, 10**8) == 0
+    assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    with pytest.raises(WordNotInLayer):
+        codes.verify_prop63(curve, 0, 10**8, (1,) + (0,) * 6)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("q,ms", [(2, (1, 2, 3)), (3, (5, 6, 8))])
@@ -311,6 +349,10 @@ def test_verify_prop63(c2):
         assert rep["rank"] >= rep["n_set_size"] == 3
     with pytest.raises(WordNotInLayer):
         codes.verify_prop63(c2, 2, 1, (0,) * 7)
+    # the last layer C_5^1 \ C_6^1: from the saturation index 6 on, C_l^1 = {0}
+    last = _layer_words(c2, 5, 1)
+    assert len(last) == 3
+    assert all(codes.verify_prop63(c2, 5, 1, w)["verdict"] == "PASS" for w in last)
 
 
 def test_verify_prop63_rank_gives_weight_bound(c2):
