@@ -7,7 +7,9 @@ all matrices are bit-reproducible.
 
 The dimension of E_l^m is counted from two Riemann-Roch dimensions
 (`dimension`), and that count alone decides saturation in `build_E`,
-`saturation_index` and `layer_membership`.
+`build_C`, `saturation_index` and `layer_membership`.  The dual C_l^m is
+itself an evaluation code, E at the dual divisor (n + 2g - 1 - l, -m - 1),
+so both codes come from one elimination of one evaluation matrix.
 
 Per-curve caches live on the HermitianCurve instance (`_cache`) and last as
 long as it does: the evaluation points and the closed-form profile; the
@@ -23,7 +25,7 @@ import json
 from functools import cached_property
 
 from . import linalg
-from .errors import MBelowLambda, SearchTooLarge, WordNotInLayer
+from .errors import MBelowLambda, NegativeEll, SearchTooLarge, WordNotInLayer
 from .field import Field
 from .hermitian import HermitianCurve
 from .value import Value
@@ -66,10 +68,6 @@ class LinearCode(Value):
         reduced, _ = linalg.rref(rows, field)
         return cls(field, n, tuple(tuple(r) for r in reduced))
 
-    def dual(self) -> "LinearCode":
-        null = linalg.nullspace([list(r) for r in self.generator], self.field, self.n)
-        return LinearCode.from_rows(null, self.field, self.n)
-
     @cached_property
     def pivots(self) -> tuple[int, ...]:
         """Pivot column of each generator row."""
@@ -101,15 +99,6 @@ class LinearCode(Value):
                     if best == 1:
                         return best
         return best
-
-    def to_json(self) -> dict:
-        dual = self.dual()
-        return {
-            "n": self.n,
-            "k": self.k,
-            "generator": [list(r) for r in self.generator],
-            "parity_check": [list(r) for r in dual.generator],
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +142,12 @@ def _check_m(curve: HermitianCurve, m: int):
         raise MBelowLambda(f"m = {m} < lambda_sigma = {lam}")
 
 
+def _check_cell(curve: HermitianCurve, ell: int, m: int):
+    _check_m(curve, m)
+    if ell < 0:
+        raise NegativeEll(f"ell = {ell} < 0")
+
+
 def evaluation_matrix(curve: HermitianCurve, ell: int, m: int) -> list[list[int]]:
     return [list(_image(curve, key)) for key in curve.riemann_roch_basis(ell, m)]
 
@@ -165,10 +160,9 @@ def dimension(curve: HermitianCurve, ell: int, m: int) -> int:
     return dim(ell, m) - dim(ell - curve.q**3, m + 1)
 
 
-def build_E(curve: HermitianCurve, ell: int, m: int) -> LinearCode:
-    """E_ell^m, row-reduced; the identity, with nothing listed, once
-    `dimension` says it is the full space F^n."""
-    _check_m(curve, m)
+def _evaluation_code(curve: HermitianCurve, ell: int, m: int) -> LinearCode:
+    """E_ell^m for any ell and m, row-reduced; the identity, with nothing
+    listed, once `dimension` says it is the full space F^n."""
     n = len(_cache(curve).points)
     if dimension(curve, ell, m) == n:
         identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
@@ -176,9 +170,22 @@ def build_E(curve: HermitianCurve, ell: int, m: int) -> LinearCode:
     return LinearCode.from_rows(evaluation_matrix(curve, ell, m), curve.field, n)
 
 
+def build_E(curve: HermitianCurve, ell: int, m: int) -> LinearCode:
+    """E_ell^m for ell >= 0 and m >= lambda_sigma."""
+    _check_cell(curve, ell, m)
+    return _evaluation_code(curve, ell, m)
+
+
 def build_C(curve: HermitianCurve, ell: int, m: int) -> LinearCode:
-    _check_m(curve, m)
-    return build_E(curve, ell, m).dual()
+    """C_ell^m, the dual of E_ell^m, as E at the dual divisor.  With
+    eta = dx / (x^(q^2) - x), (dx) = (2g - 2) Q1 and the divisor of
+    x^(q^2) - x above give D - G + (eta) = (n + 2g - 1 - ell) Q1 - (m + 1) Q2
+    for G = ell Q1 + m Q2, and res_P eta = -1 at every P in D, so
+    C_ell^m = E_{n+2g-1-ell}^{-m-1} exactly (Stichtenoth, Algebraic Function
+    Fields and Codes, 2nd ed., 2.2 and 8.3)."""
+    _check_cell(curve, ell, m)
+    n = len(_cache(curve).points)
+    return _evaluation_code(curve, n + 2 * curve.genus - 1 - ell, -m - 1)
 
 
 def saturation_index(curve: HermitianCurve, m: int) -> int:
@@ -276,7 +283,6 @@ def verify_thm61(curve: HermitianCurve, ell: int, m: int) -> dict:
     """Brute-force d(C_ell^m) against the n-order and Goppa bounds."""
     from . import bounds
 
-    _check_m(curve, m)
     code = build_C(curve, ell, m)
     d_true = code.min_distance_bruteforce()
     dn = bounds.d_nord(_cache(curve).profile, ell, m)
@@ -296,7 +302,8 @@ def verify_thm61(curve: HermitianCurve, ell: int, m: int) -> dict:
 
 
 def code_to_json(curve: HermitianCurve, ell: int, m: int) -> str:
-    code = build_E(curve, ell, m)
-    payload = {"q": curve.q, "ell": ell, "m": m}
-    payload.update(code.to_json())
+    code, dual = build_E(curve, ell, m), build_C(curve, ell, m)
+    payload = {"q": curve.q, "ell": ell, "m": m, "n": code.n, "k": code.k,
+               "generator": [list(r) for r in code.generator],
+               "parity_check": [list(r) for r in dual.generator]}
     return json.dumps(payload, sort_keys=True)

@@ -1,4 +1,5 @@
-"""Row reduction, rank and nullspace over a finite field.
+"""Row reduction, rank and reduction against an echelon basis over a finite
+field.
 
 Matrices are lists of rows; entries are element indices of a Field.  Every
 step is a whole-row operation (`Field.scale_row`, `Field.add_scaled_row`).
@@ -37,24 +38,6 @@ def rref(rows: list[list[int]], field: Field):
 
 def rank(rows, field: Field) -> int:
     return len(rref(rows, field)[0])
-
-
-def nullspace(rows: list[list[int]], field: Field, ncols: int | None = None):
-    """Basis of the right nullspace {v : M v = 0}, as rows."""
-    if ncols is None:
-        if not rows:
-            raise ValueError("ncols required for an empty matrix")
-        ncols = len(rows[0])
-    red, pivots = rref(rows, field)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * ncols
-        v[fc] = 1
-        for r, pc in zip(red, pivots):
-            v[pc] = field.neg(r[fc])
-        basis.append(v)
-    return basis
 
 
 def reduce(vec, rows, pivots, field: Field) -> list[int]:

@@ -159,6 +159,19 @@ def test_code_verify(capsys):
     assert report["thm61"]["d_true"] == 3
 
 
+def test_code_verify_builds_E_once(capsys, monkeypatch):
+    """Thm 6.1 builds C at its own divisor; only Prop 6.1's eliminated
+    dimension needs E."""
+    from nordcodes import codes
+
+    calls = []
+    build_E = codes.build_E
+    monkeypatch.setattr(codes, "build_E", lambda *a: calls.append(a) or build_E(*a))
+    code, out, _ = run(capsys, "code", "verify", "--q", "3", "--ell", "19", "--m", "5")
+    assert code == 0 and json.loads(out)["prop61"]["dim"] == 22
+    assert len(calls) == 1
+
+
 def test_axioms_laurent(capsys):
     code, out, _ = run(
         capsys, "axioms", "--model", "laurent", "--p", "2", "--k", "2", "--bound", "2"
@@ -604,6 +617,14 @@ LONG_OR_RAISED = [
       "--ell-range", "0..100000000"], 1, "TableTooLarge", 2.0),
     (["bound", "--profile", "{tmp}/prof.json", "--ell", "0", "--m", "3", "--table",
       "--m-range", "3..100000000"], 1, "TableTooLarge", 2.0),
+    # one ell >= 0 rule for every code action (build and distance printed k = 0)
+    (["code", "build", "--q", "2", "--ell", "-5", "--m", "1"], 1, "NegativeEll", 1.0),
+    (["code", "distance", "--q", "2", "--ell", "-5", "--m", "1"], 1, "NegativeEll", 1.0),
+    (["code", "verify", "--q", "2", "--ell", "-5", "--m", "1"], 1, "NegativeEll", 1.0),
+    (["code", "verify", "--q", "5", "--ell", "-5", "--m", "19"], 1, "NegativeEll", 1.0),
+    # the dual divisor of these cells lists no basis: C = {0}, nothing eliminated
+    (["code", "distance", "--q", "5", "--ell", "100000000", "--m", "19"], 0, None, 2.0),
+    (["code", "build", "--q", "5", "--ell", "0", "--m", "100000000"], 0, None, 2.0),
 ]
 
 
@@ -613,7 +634,8 @@ def test_inputs_that_ran_long_or_raised(guard_dir, capsys, argv, code, error, se
     """A 0 is a value, not "not given"; the hyperelliptic cap comes before
     the profile is built; the ideal model runs on weight rows; d_nord counts
     from thresholds, the diagnostic counts #A without listing it, and a
-    table is refused from its sizes."""
+    table is refused from its sizes; every code action refuses ell < 0, and
+    the dual code is counted at its divisor before anything is listed."""
     argv = [a.format(tmp=guard_dir) for a in argv]
     start = time.perf_counter()
     got, _, err = run(capsys, *argv)

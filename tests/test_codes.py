@@ -8,10 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from curve_reference import monomial
 from nordcodes import codes
-from nordcodes.errors import MBelowLambda, SearchTooLarge, WordNotInLayer
+from nordcodes.errors import MBelowLambda, NegativeEll, SearchTooLarge, WordNotInLayer
 from nordcodes.field import make_field
 from nordcodes.hermitian import HermitianCurve
 from nordcodes.linalg import rank
+from test_linalg import ref_nullspace
 
 
 @pytest.fixture(scope="module")
@@ -22,6 +23,9 @@ def c2():
 @pytest.fixture(scope="module")
 def c3():
     return HermitianCurve(3)
+
+
+SMALL_CURVES = {q: HermitianCurve(q) for q in (2, 3, 4)}
 
 
 # -- LinearCode core --------------------------------------------------------
@@ -36,15 +40,22 @@ def test_from_rows_reduces():
     assert not code.contains((1, 0, 0))
 
 
+def ref_dual(code):
+    """The dual as the row-reduced nullspace of the generator: the oracle
+    for `build_C`, which builds the dual at its own divisor."""
+    return codes.LinearCode.from_rows(ref_nullspace(code.generator, code.field, code.n),
+                                      code.field, code.n)
+
+
 def test_duality():
     F = make_field(2, 2)
     code = codes.LinearCode.from_rows([[1, 0, 1, 2], [0, 1, 1, 3]], F, 4)
-    dual = code.dual()
+    dual = ref_dual(code)
     assert code.k + dual.k == 4
     for row in code.generator:
         for drow in dual.generator:
             assert F.dot(row, drow) == 0
-    assert dual.dual().generator == code.generator
+    assert ref_dual(dual).generator == code.generator
 
 
 def test_repetition_code_distance():
@@ -164,6 +175,11 @@ def test_build_E_examples(c2):
     assert codes.build_E(c2, 0, 1).k == 1
     with pytest.raises(MBelowLambda):
         codes.build_E(c2, 2, 0)
+    for build in (codes.build_E, codes.build_C):
+        with pytest.raises(NegativeEll, match="ell = -5 < 0"):
+            build(c2, -5, 1)
+        with pytest.raises(MBelowLambda):  # m is checked first
+            build(c2, -5, 0)
 
 
 def test_build_C_examples(c2):
@@ -175,6 +191,40 @@ def test_build_C_examples(c2):
     for row in e21.generator:
         for drow in c21.generator:
             assert c2.field.dot(row, drow) == 0
+
+
+@st.composite
+def dual_cells(draw):
+    """ell small, mid-range, or past saturation, where the dual divisor's
+    ell, n + 2*genus - 1 - ell, is negative."""
+    q = draw(st.sampled_from([2, 3, 4]))
+    curve = SMALL_CURVES[q]
+    n, g = q**3 - 1, curve.genus
+    lam = curve.profile_closed_form().lambda_sigma
+    m = draw(st.integers(lam, lam + 2 * q + 1))
+    ell = draw(st.one_of(st.integers(0, 3), st.integers(0, n + 2 * g),
+                         st.integers(n + 2 * g - 1, n + 2 * g + 20)))
+    return q, ell, m
+
+
+@settings(max_examples=80, deadline=None)
+@given(dual_cells())
+@example((2, 10**8, 1))
+@example((4, 10**8, 11))
+@example((3, 0, 10**8))
+@example((4, 2, 10**8))
+@example((4, 11, 60))  # C = {0}, three below ell + m = n + 2*genus - 1
+@example((4, 0, 11))
+def test_build_C_is_the_nullspace_dual(cell):
+    """C_ell^m built at the dual divisor is the row-reduced nullspace of
+    E_ell^m, and its counted dimension is n - dim E_ell^m."""
+    q, ell, m = cell
+    curve = SMALL_CURVES[q]
+    n, g = q**3 - 1, curve.genus
+    e, c = codes.build_E(curve, ell, m), codes.build_C(curve, ell, m)
+    assert c == ref_dual(e)
+    assert e.k + c.k == n == e.n == c.n
+    assert c.k == codes.dimension(curve, n + 2 * g - 1 - ell, -m - 1)
 
 
 def test_nesting(c2):
@@ -202,9 +252,6 @@ def test_saturation_index(c2):
     ]
     assert ranks == sorted(ranks)
     assert ranks[6] == 7 and ranks[5] < 7
-
-
-SMALL_CURVES = {q: HermitianCurve(q) for q in (2, 3, 4)}
 
 
 @st.composite
@@ -235,15 +282,22 @@ def test_dimension_is_the_rank_of_the_listed_matrix(cell):
 @given(q=st.sampled_from([2, 3]), m_up=st.integers(0, 36), past=st.integers(-4, 5))
 @example(q=2, m_up=0, past=-2)  # E_5^1 is not yet F^7
 def test_saturated_build_E_is_the_listed_code(q, m_up, past):
-    """Around ell + m = n + 2*genus - 1, build_E equals the RREF of the
-    listed evaluation matrix; that code is the full space exactly when the
-    counted dimension is n, and then build_E gives the identity unlisted."""
+    """Around ell + m = n + 2*genus - 1, the evaluation code equals the RREF
+    of the listed evaluation matrix; that code is the full space exactly
+    when the counted dimension is n, and then it is the identity unlisted.
+    At large m this ell is negative: the private builder takes it (the dual
+    divisor needs it) and the public build_E refuses it."""
     curve = SMALL_CURVES[q]
     n, g = len(codes.evaluation_points(curve)), curve.genus
     m = curve.profile_closed_form().lambda_sigma + m_up
     ell = n + 2 * g - 1 + past - m
     listed = codes.LinearCode.from_rows(codes.evaluation_matrix(curve, ell, m), curve.field, n)
-    assert codes.build_E(curve, ell, m) == listed
+    assert codes._evaluation_code(curve, ell, m) == listed
+    if ell < 0:
+        with pytest.raises(NegativeEll):
+            codes.build_E(curve, ell, m)
+    else:
+        assert codes.build_E(curve, ell, m) == listed
     assert (listed.k == n) == (codes.dimension(curve, ell, m) == n)
     if past >= 0:
         assert listed.k == n
@@ -378,6 +432,9 @@ def test_code_json(c2):
     assert payload["n"] == 7 and payload["k"] == 3
     assert len(payload["generator"]) == 3
     assert len(payload["parity_check"]) == 4
+    for row in payload["generator"]:
+        for hrow in payload["parity_check"]:
+            assert c2.field.dot(row, hrow) == 0
     again = codes.LinearCode(
         c2.field, 7, tuple(tuple(r) for r in payload["generator"])
     )

@@ -1,23 +1,29 @@
 """Golden reports: the sha256 of `axiom_check(...).dumps()` and of the
-`filtration_check` JSON, and the `normalize` result, on a grid of models.
+`filtration_check` JSON, and the `normalize` result, on a grid of models;
+and the sha256 of `code build` and `code distance` stdout on a grid of
+Hermitian cells.
 
 The hashes pin the whole text of each report (verdicts, witness elements in
 their report form, sample order, number types), so any change to the
 element representation or to the checkers that alters a byte fails here.
 They were recorded with the numpy-based checker and the per-model payload
-types that preceded the sparse monomial algebra.  Regenerate them only for
-an intended change of the report format:
+types that preceded the sparse monomial algebra; the code hashes, with the
+parity check taken as the nullspace of the generator, before C_l^m was
+built at its own divisor.  Regenerate them only for an intended change of
+the report format:
 
     PYTHONPATH=src python tests/test_golden_reports.py
 """
 
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
 
 import sparse_reference as ref
-from nordcodes import models
+from nordcodes import cli, models
 from nordcodes.errors import NordError
 from nordcodes.field import make_field
 from nordcodes.hermitian import HermitianCurve
@@ -258,6 +264,51 @@ def test_golden_report(case):
     assert digest(*case) == GOLDEN["-".join(map(str, case[:4]))]
 
 
+# (q, ell, m): k(C) = 6, 4 and 0 at q = 2, the last past ell + m = n + 2g - 1;
+# k(C) = 3, 1 and 0 at q = 3, the last saturated below that line; a q = 4
+# benchmark build, k(C) = 3, and C = {0} three below the line at m = 60
+CODE_CELLS = [(2, 0, 1), (2, 2, 1), (2, 6, 3), (3, 20, 5), (3, 23, 5), (3, 24, 5),
+              (4, 20, 11), (4, 55, 11), (4, 11, 60)]
+CODE_CASES = [f"code {action} --q {q} --ell {ell} --m {m}"
+              for q, ell, m in CODE_CELLS for action in ("build", "distance")
+              if (action, q, ell) != ("distance", 4, 20)]  # 16^37 messages
+
+
+def code_digest(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv.split()) == 0
+    return _sha(out.getvalue())
+
+
+CODE_GOLDEN = {
+    'code build --q 2 --ell 0 --m 1': 'aaf6bd9a48ae637389b853aafb85e6d9de444fae62d508b1c07af4bf67b315db',
+    'code distance --q 2 --ell 0 --m 1': 'f6f1aaaf62991140045f0167c3e5cbfa345b66034dededa2468f30bcde7f18ef',
+    'code build --q 2 --ell 2 --m 1': '1c2830f915a8524722f8ec4c8500e820af4c5e32af00ed78a2dd1e80d861cd41',
+    'code distance --q 2 --ell 2 --m 1': 'b9c5e46a66864b67bbc52278034ce7189f932c4df5d3600aa628775798f17ca0',
+    'code build --q 2 --ell 6 --m 3': '5a1db344a21920f16485bdc26b25d389f30feaabfaafc7ec31c37ed5fc06d276',
+    'code distance --q 2 --ell 6 --m 3': 'f61ac9ce748b8436cee4a8bca6ad1bf7ef86195a792dc7015e75e1ec4d1a3108',
+    'code build --q 3 --ell 20 --m 5': '12e32a220237b43a40185ba2a32c61c69d5053edc659a90e49b495b88c69c04a',
+    'code distance --q 3 --ell 20 --m 5': '75ed718ccc0c16eef6d41f956b03363226ac79694593731ff4f34609cdb81bf4',
+    'code build --q 3 --ell 23 --m 5': 'd8583102337fb92515fe08746387a5870580c90c64fbe259ac75680d07b6a28e',
+    'code distance --q 3 --ell 23 --m 5': '17d4f1e8666dd35987e0b07a567ceeb2fcf9d0e4997b6bd3a57d544759c6b473',
+    'code build --q 3 --ell 24 --m 5': '88a404121d07ce5a8e0d992c4a37240336a0c631d2cc21e267832e8c911bd1b2',
+    'code distance --q 3 --ell 24 --m 5': '0442b254958fb5aa379471df53b9f78237dd19ff6ec9577800dcba1f0a4b1dc2',
+    'code build --q 4 --ell 20 --m 11': '44f6f0dd4258f4f7bffbafe5a53c5a2b5d4e343eb88cc41da104ab68a88d7bc9',
+    'code build --q 4 --ell 55 --m 11': '415f995b6737fff6ed410de49051451ea8a08f16c28e980c468566d69c27d7a5',
+    'code distance --q 4 --ell 55 --m 11': '29a34ad285052d7a1fa61d67ff8150c4f536925850a09a6d2b8d2a8f8a5497ec',
+    'code build --q 4 --ell 11 --m 60': 'b454854fc2726ae2971ecaf7ef4f80de1a20212801c1ff712de5a4b1ca052ea0',
+    'code distance --q 4 --ell 11 --m 60': '81b7135143777c4263b19aa6ae7a0e74d3588254af1f80e8978a573334a86f01',
+}
+
+
+@pytest.mark.parametrize("argv", CODE_CASES)
+def test_golden_code_output(argv):
+    assert code_digest(argv) == CODE_GOLDEN[argv]
+
+
 if __name__ == "__main__":
     for case in CASES:
         print(f'    {"-".join(map(str, case[:4]))!r}: {digest(*case)!r},')
+    for argv in CODE_CASES:
+        print(f'    {argv!r}: {code_digest(argv)!r},')

