@@ -10,9 +10,9 @@ import importlib
 _EXPORTS = {
     "field": ("Field", "make_field"),
     "semigroup": ("GoodBasisProfile", "NumericalSemigroup", "TwoPointSemigroup",
-                  "hyperelliptic_profile", "ns_from_generators", "tps_from_gapset"),
-    "bounds": ("capital_sigma", "d_goppa", "d_nord", "delta", "n_set", "n_set_size",
-               "abc_decomposition", "lemma62_diagnostic", "bound_table"),
+                  "hyperelliptic_profile", "ns_from_generators"),
+    "bounds": ("capital_sigma", "d_goppa", "d_nord", "n_set", "n_set_size",
+               "lemma62_diagnostic", "bound_table"),
     "hermitian": ("HermitianCurve",),
     "codes": ("LinearCode", "build_C", "build_E", "evaluation_points", "saturation_index"),
 }

@@ -1,9 +1,9 @@
 """The n-order minimum-distance bound and its companions.
 
 Everything here is a pure function of a GoodBasisProfile: the running maximum
-Sigma(s), the sets N_r^m, the bound d_nord, the Goppa bound, their difference
-delta, the A/B/C decomposition of N_r^m and a diagnostic that compares the
-closed formula d_nord = l + 2 - genus + #A against direct enumeration.
+Sigma(s), the sets N_r^m, the bound d_nord, the Goppa bound, a table of both
+with their difference, and a diagnostic that compares the closed formula
+d_nord = l + 2 - genus + #A against direct enumeration.
 
 n_set_size, d_nord and bound_table count #N_r^m from one sorted list of
 failure thresholds per (profile, m), built in O(genus log genus): a bisect
@@ -105,34 +105,6 @@ def d_nord(profile: GoodBasisProfile, ell: int, m: int) -> int:
 def d_goppa(ell: int, m: int, genus: int) -> int:
     """ell + m - 2*genus + 2, returned raw (may be nonpositive)."""
     return ell + m - 2 * genus + 2
-
-
-def delta(profile: GoodBasisProfile, ell: int, m: int) -> int:
-    return d_nord(profile, ell, m) - d_goppa(ell, m, profile.genus)
-
-
-def abc_decomposition(profile: GoodBasisProfile, r: int, m: int):
-    """Split the interior indices of N_r^m into the nongap part A, the
-    saturated-gap part B and the boundary-gap part C.
-
-    #N_r^m = 2 + #A + #B + #C (the endpoints (0, r+1), (r+1, 0) always
-    qualify since m >= lambda_sigma).
-    """
-    _require_m(profile, m)
-    s = profile.s_index
-    lam = profile.lambda_sigma
-    gaps = profile.rho_gaps
-    a_set = {i for i in range(1, r + 1) if i not in gaps}
-    b_set = {
-        i for i in gaps if 1 <= i <= r + 1 - s and profile.sigma(i) + lam <= m
-    }
-    c_set = {
-        i
-        for i in gaps
-        if r + 2 - s <= i <= r
-        and profile.sigma(i) + capital_sigma(profile, r + 1 - i) <= m
-    }
-    return a_set, b_set, c_set
 
 
 def lemma62_diagnostic(profile: GoodBasisProfile, ell: int, m: int) -> dict:

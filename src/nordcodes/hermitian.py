@@ -10,6 +10,8 @@ the largest `pole_orders` over its keys.  The algebra on supports is
 `models.CurveValuationModel`.
 
 For a monomial x^a y^b:  v_inf = -(a*q + b*(q+1)),  v_0 = a + b*(q+1).
+The good-basis profile is counted from these keys: the reduced key of pole
+order i at Q1 has a pole at Q2 exactly when i is a gap of H(Q1).
 """
 
 from __future__ import annotations
@@ -116,36 +118,21 @@ class HermitianCurve:
         assert a * q + b * (q + 1) == i
         return a, b
 
-    def good_basis_g(self, j: int) -> tuple[int, int]:
-        """The key of the unique reduced monomial with pole order m_j at Q2
-        and no pole at Q1 (m_j = j-th nongap of H(sigma))."""
-        m_j = self.sigma_semigroup().nth_nongap(j)
-        q = self.q
-        a = (-m_j) % (q + 1)
-        b = (-m_j - a) // (q + 1)
-        assert self.pole_orders((a, b)) == (0, m_j)
-        return a, b
-
-    def rho_semigroup(self) -> NumericalSemigroup:
-        """H(Q1) = <q, q+1>."""
-        from .semigroup import ns_from_generators
-
-        return ns_from_generators([self.q, self.q + 1])
-
-    def sigma_semigroup(self) -> NumericalSemigroup:
-        # Q2 is a rational point of the same curve family; by symmetry of the
-        # automorphism group its gap sequence equals the one at infinity.
-        return self.rho_semigroup()
-
     def profile_closed_form(self) -> GoodBasisProfile:
         """sigma-values of the canonical monomial good basis, keyed by the
-        gaps of H(Q1)."""
+        gaps of H(Q1).
+
+        good_basis_function(i) is the unique reduced key (a, b), 0 <= a <= q,
+        with pole order i at Q1.  So i is a nongap of H(Q1) = <q, q+1> iff
+        b >= 0, which forces sigma = 0; a gap has b < 0, so a + b*(q+1) < 0
+        and sigma > 0.  Every gap lies below 2*genus, so the profile is
+        counted over [1, 2*genus) with no semigroup built.
+        """
         from .semigroup import GoodBasisProfile
 
-        entries = {}
-        for i in sorted(self.rho_semigroup().gaps):
-            entries[i] = self.pole_orders(self.good_basis_function(i))[1]
-        return GoodBasisProfile.from_entries(entries)
+        return GoodBasisProfile.from_entries({
+            i: sigma for i in range(1, 2 * self.genus)
+            if (sigma := self.pole_orders(self.good_basis_function(i))[1])})
 
     def __repr__(self):
         return f"HermitianCurve(q={self.q}, genus={self.genus}, n_points={len(self.points)})"

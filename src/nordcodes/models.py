@@ -140,12 +140,6 @@ class NWeightModel:
     def is_zero(self, f) -> bool:
         return not f
 
-    def in_unit_part(self, f) -> bool:
-        return self.rho(f) <= self.rho(self.one())
-
-    def in_m_part(self, f) -> bool:
-        return self.rho(f) > self.rho(self.one())
-
     def basis_count(self, bound: int) -> int:
         """len(basis_keys(bound)); a model that can count its basis without
         listing it overrides this."""

@@ -109,16 +109,6 @@ class NumericalSemigroup(Value):
     def __contains__(self, n: int) -> bool:
         return n >= 0 and n not in self.gaps
 
-    def nth_nongap(self, i: int) -> int:
-        """m_i with 0 = m_0 < m_1 < ... (0-indexed)."""
-        n, count = 0, -1
-        while True:
-            if n in self:
-                count += 1
-                if count == i:
-                    return n
-            n += 1
-
     def to_json(self) -> dict:
         return {"gaps": sorted(self.gaps)}
 
@@ -191,36 +181,18 @@ class TwoPointSemigroup(Value):
                     if (xa, xb) not in self.gapset and (ga - xa, gb - xb) not in self.gapset:
                         raise ClosureViolation((xa, xb), (ga - xa, gb - xb), (ga, gb))
 
-    @property
-    def genus2(self) -> int:
-        return len(self.gapset)
-
-    @property
-    def box(self) -> tuple[int, int]:
-        if not self.gapset:
-            return (0, 0)
-        return (max(a for a, _ in self.gapset), max(b for _, b in self.gapset))
-
     def __contains__(self, pair: tuple[int, int]) -> bool:
         a, b = pair
         return a >= 0 and b >= 0 and (a, b) not in self.gapset
 
-    def project_rho(self) -> NumericalSemigroup:
-        return NumericalSemigroup(frozenset(a for a, b in self.gapset if b == 0))
-
-    def project_sigma(self) -> NumericalSemigroup:
-        return NumericalSemigroup(frozenset(b for a, b in self.gapset if a == 0))
-
     def profile(self) -> "GoodBasisProfile":
-        """Column minima over the gap columns: i -> min{t : (i, t) in H}."""
-        max_b = self.box[1]
+        """Column minima over the gap columns: i -> min{t : (i, t) in H}.
+        The gap set is finite, so each column's walk ends."""
         entries = {}
         for i in sorted({a for a, _ in self.gapset}):
             t = 0
             while (i, t) in self.gapset:
                 t += 1
-                if t > max_b + 1:  # unreachable: gapset is finite
-                    break
             if t > 0:
                 entries[i] = t
         return GoodBasisProfile.from_entries(entries)
@@ -249,10 +221,6 @@ def semigroup_from_json(data) -> NumericalSemigroup | TwoPointSemigroup:
     gaps = _gaps_field(data)
     two_point = bool(gaps) and isinstance(gaps[0], list)
     return (TwoPointSemigroup if two_point else NumericalSemigroup).from_json(data)
-
-
-def tps_from_gapset(pairs) -> TwoPointSemigroup:
-    return TwoPointSemigroup(frozenset(tuple(p) for p in pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +281,6 @@ class GoodBasisProfile(Value):
     def sigma_gaps(self) -> frozenset[int]:
         return frozenset(v for _, v in self.entries)
 
-    def rho_semigroup(self) -> NumericalSemigroup:
-        return NumericalSemigroup(self.rho_gaps)
-
     def check_gap_bijection(self) -> dict:
         """Report-valued validation of the profile invariants."""
         violations = []
@@ -342,8 +307,10 @@ class GoodBasisProfile(Value):
     @classmethod
     def from_json(cls, data) -> "GoodBasisProfile":
         """Profile from its JSON form, given parsed or as text; anything but
-        an object whose "entries" map integer strings to integers raises
-        MalformedProfile."""
+        an object whose "entries" map canonical integer strings (as to_json
+        writes them) to integers, with a "genus", if present, equal to the
+        number of entries, raises MalformedProfile.  A key such as "01" or
+        " 1" would otherwise merge silently with "1"."""
         data = _parse_json(data, MalformedProfile)
         entries = data.get("entries") if isinstance(data, dict) else None
         if not isinstance(entries, dict):
@@ -353,10 +320,15 @@ class GoodBasisProfile(Value):
             try:
                 i = int(k)
             except ValueError:
-                raise MalformedProfile(f"entry key {k!r} is not an integer") from None
+                i = None
+            if str(i) != k:
+                raise MalformedProfile(f"entry key {k!r} is not a canonical integer")
             if type(v) is not int:
                 raise MalformedProfile(f"entry {k!r}: {v!r} is not an integer")
             parsed[i] = v
+        genus = data.get("genus", len(parsed))
+        if type(genus) is not int or genus != len(parsed):
+            raise MalformedProfile(f"genus {genus!r} is not the number of entries, {len(parsed)}")
         return cls.from_entries(parsed)
 
     def dumps(self) -> str:

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from nordcodes.semigroup import ns_from_generators
+
 
 class ZeroFunction(ValueError):
     pass
@@ -40,6 +42,19 @@ class ValuationPair:
 def monomial_valuations(curve, a: int, b: int) -> ValuationPair:
     q = curve.q
     return ValuationPair(-(a * q + b * (q + 1)), a + b * (q + 1))
+
+
+def good_basis_g(curve, j: int) -> tuple[int, int]:
+    """The key of the unique reduced monomial with pole order m_j at Q2 and
+    no pole at Q1, m_j the j-th nongap (0-indexed) of H(Q2).  Q2 is a
+    rational point of the same curve family, so H(Q2) = H(Q1) = <q, q+1>."""
+    q = curve.q
+    gaps = ns_from_generators([q, q + 1]).gaps
+    m_j = [n for n in range(j + len(gaps) + 1) if n not in gaps][j]
+    a = (-m_j) % (q + 1)
+    b = (-m_j - a) // (q + 1)
+    assert curve.pole_orders((a, b)) == (0, m_j)
+    return a, b
 
 
 def function(curve, support: dict) -> "TwoPointFunction":

@@ -58,7 +58,7 @@ def test_acceptance_2_curve_adapters(capsys):
         ok &= rep.all_near_weight_pass()
         sample = model.elements(6)
         unit_sets.append(
-            {f for f in sample if not model.is_zero(f) and model.in_unit_part(f)}
+            {f for f in sample if not model.is_zero(f) and model.rho(f) <= model.rho(model.one())}
         )
     common = unit_sets[0] & unit_sets[1]
     constants = {

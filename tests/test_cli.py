@@ -45,7 +45,7 @@ def test_semigroup_curve(capsys):
     assert code == 0
     data = json.loads(out)
     assert sorted(map(tuple, data["gaps"])) == [(0, 1), (1, 0)]
-    assert TwoPointSemigroup.from_json(data).genus2 == 2
+    assert len(TwoPointSemigroup.from_json(data).gapset) == 2
 
 
 def test_semigroup_from_file(tmp_path, capsys):
@@ -305,6 +305,10 @@ def test_generators_not_integers(capsys):
     '{"entries": [1, 2]}',
     "[1, 2]",
     '{"entries": {"1": true}}',
+    '{"entries": {"1": 2, "01": 1}}',  # once merged into the genus-1 profile {1: 1}
+    '{"entries": {"1_0": 1}}',
+    '{"entries": {" 1": 1}}',
+    '{"genus": 7, "entries": {"1": 1}}',  # a genus the entries contradict
 ])
 def test_bound_malformed_profile(tmp_path, capsys, text):
     path = tmp_path / "profile.json"
@@ -344,6 +348,22 @@ def _child_env():
     """The environment of a child process that imports nordcodes from src."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     return dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+
+
+def test_benchmark_library_calls():
+    """The library-call jobs of perfbench/libcalls.py run on the current
+    API: a deleted or renamed name they use fails here."""
+    libcalls = Path(__file__).resolve().parents[1] / "perfbench" / "libcalls.py"
+
+    def job(*argv):
+        proc = subprocess.run([sys.executable, str(libcalls), *argv], env=_child_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    sweep = job("syndrome_sweep", "2", "2", "1")
+    assert sweep["words"] == 256 and sweep["prop63_ok"] == sweep["layer"] and sweep["L"] == 6
+    assert job("saturation_index", "2", "1")["L"] == 6
 
 
 def test_axioms_curve_basis_counted_not_listed():

