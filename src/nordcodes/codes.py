@@ -12,10 +12,10 @@ itself an evaluation code, E at the dual divisor (n + 2g - 1 - l, -m - 1),
 so both codes come from one elimination of one evaluation matrix.
 
 Per-curve caches live on the HermitianCurve instance (`_cache`) and last as
-long as it does: the evaluation points and the closed-form profile; the
-image vector of each monomial x^a y^b, keyed on (a, b) and shared by
-`evaluation_matrix` and the good-basis images h_t of `basis_images`; and
-`saturation_index`, keyed on m.
+long as it does: the evaluation points; the image vector of each monomial
+x^a y^b, keyed on (a, b) and shared by `evaluation_matrix` and `basis_images`;
+`saturation_index`, keyed on m; and the profile, built on first use by the
+verifiers, its only readers (the builds take lambda_sigma = 2*genus - 1).
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ class LinearCode(Value):
 class _CurveCache:
     def __init__(self, curve: HermitianCurve):
         self.points = sorted(p for p in curve.points if p != (0, 0))
-        self.profile = curve.profile_closed_form()
+        self.profile = None
         self.images: dict[tuple[int, int], tuple[int, ...]] = {}
         self.saturation: dict[int, int] = {}
 
@@ -131,13 +131,22 @@ def _image(curve: HermitianCurve, key: tuple[int, int]) -> tuple[int, ...]:
     return img
 
 
+def _profile(curve: HermitianCurve):
+    """The closed-form profile, built on first use and kept for the curve."""
+    cache = _cache(curve)
+    if cache.profile is None:
+        cache.profile = curve.profile_closed_form()
+    return cache.profile
+
+
 def evaluation_points(curve: HermitianCurve) -> list[tuple[int, int]]:
     """All affine points except the base point (0, 0), lexicographic order."""
     return list(_cache(curve).points)
 
 
 def _check_m(curve: HermitianCurve, m: int):
-    lam = _cache(curve).profile.lambda_sigma
+    # lambda_sigma is the largest gap of H(Q2) = <q, q+1>: q^2 - q - 1 = 2*genus - 1
+    lam = 2 * curve.genus - 1
     if m < lam:
         raise MBelowLambda(f"m = {m} < lambda_sigma = {lam}")
 
@@ -247,7 +256,7 @@ def verify_prop63(curve: HermitianCurve, ell: int, m: int, word) -> dict:
     in_l, in_l1 = layer_membership(curve, ell, m, word)
     if not in_l or in_l1:
         raise WordNotInLayer(f"word not in C_{ell}^{m} \\ C_{ell + 1}^{m}")
-    nset = bounds.n_set(_cache(curve).profile, ell, m)
+    nset = bounds.n_set(_profile(curve), ell, m)
     L = saturation_index(curve, m)
     S = syndrome_matrix(curve, m, word, L)
     zero_ok = True
@@ -285,7 +294,7 @@ def verify_thm61(curve: HermitianCurve, ell: int, m: int) -> dict:
 
     code = build_C(curve, ell, m)
     d_true = code.min_distance_bruteforce()
-    dn = bounds.d_nord(_cache(curve).profile, ell, m)
+    dn = bounds.d_nord(_profile(curve), ell, m)
     dg = bounds.d_goppa(ell, m, curve.genus)
     ok = d_true is None or d_true >= dn
     return {

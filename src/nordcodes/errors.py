@@ -13,12 +13,8 @@ class NordError(Exception):
         return type(self).__name__
 
 
-# finite_field
+# field
 class NotPrime(NordError):
-    pass
-
-
-class ReduciblePolynomial(NordError):
     pass
 
 
@@ -61,7 +57,7 @@ class MalformedSemigroup(NordError):
     pass
 
 
-# bound_engine
+# bounds (the first two also in codes)
 class MBelowLambda(NordError):
     pass
 
@@ -78,7 +74,7 @@ class TableTooLarge(NordError):
     pass
 
 
-# nweight_models
+# models and filtration
 class GIsConstant(NordError):
     pass
 
@@ -103,7 +99,7 @@ class NegativeRho(NordError):
     pass
 
 
-# hermitian_curve
+# hermitian
 class UnsupportedQ(NordError):
     pass
 

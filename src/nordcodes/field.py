@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .errors import DivisionByZero, FieldTooLarge, NotPrime, ReduciblePolynomial
+from .errors import DivisionByZero, FieldTooLarge, NotPrime
 
 MAX_FIELD_SIZE = 256  # every accepted field is fully tabled
 
@@ -92,10 +92,8 @@ def _is_irreducible(poly, p: int) -> bool:
 
 
 def _default_modulus(p: int, k: int):
-    for cand in _monic_polys(p, k):
-        if _is_irreducible(cand, p):
-            return cand
-    raise ReduciblePolynomial(f"no irreducible polynomial of degree {k} over GF({p})")
+    # the first monic irreducible of degree k over GF(p); one exists for every k >= 1
+    return next(cand for cand in _monic_polys(p, k) if _is_irreducible(cand, p))
 
 
 # ---------------------------------------------------------------------------

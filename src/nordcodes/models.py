@@ -1,5 +1,6 @@
-"""Concrete algebras carrying near-order / near-weight functions, plus
-finite-sample axiom and filtration checkers.
+"""Concrete algebras carrying near-order / near-weight functions, plus the
+finite-sample axiom checker.  The normalization and filtration checks, which
+no command runs, are in `filtration`, which builds on this module.
 
 Four models are provided: the constant map on a polynomial ring, the
 ideal-membership map on a polynomial ring, the Laurent ring F[X,Y]/(XY-1)
@@ -22,7 +23,7 @@ exponents (a, b) of x^a y^b on the curve.  A model supplies the hooks:
   curve);
 * `weight(key)`: c (constant model), max(0, -k) (Laurent), the pole orders
   of x^a y^b from `HermitianCurve.pole_orders` (curve rho and sigma), and
-  phi(base weight) for a `NormalizedModel`;
+  phi(base weight) for a `filtration.NormalizedModel`;
 * `show(f)`: how an element appears in reports: the dense low-to-high
   coefficient tuple in F[t], the pairs in the Laurent ring, and on the
   curve the "c*x^a*y^b" terms joined by "+" ("0" for zero).
@@ -31,11 +32,12 @@ exponents (a, b) of x^a y^b on the curve.  A model supplies the hooks:
 in which f = Q*g + R has R on the keys below deg g: weight 1 there and 0
 above gives rho(f) = 1 iff g does not divide f.
 
-The checkers read rho of sums, multiples and products of sample elements
-from `model.rows(elements)`: `_WeightRows`, which reads them from packed
-coefficient rows and monomial-product tables with no element built.  A
-subclass that overrides `rho` must hand rows of its own (the tests' sparse
-reference does); `NWeightModel.rows` refuses it with TypeError.
+The checkers here and in `filtration` read rho of sums, multiples and
+products of sample elements from `model.rows(elements)`: `_WeightRows`,
+which reads them from packed coefficient rows and monomial-product tables
+with no element built.  A subclass that overrides `rho` must hand rows of
+its own (the tests' sparse reference does); `NWeightModel.rows` refuses it
+with TypeError.
 
 All verdicts are exhaustive over a bounded, deterministically enumerated
 sample; nothing is probabilistic.  The sample comes straight from the n
@@ -59,11 +61,10 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right
 from itertools import combinations, product, repeat
-from math import comb, gcd
+from math import comb
 from operator import and_, gt, ne
 
-from .errors import (CoefficientOutOfRange, EmptyLevel, GIsConstant, NegativeRho,
-                     SampleTooLarge, TrivialModel)
+from .errors import CoefficientOutOfRange, GIsConstant, SampleTooLarge
 from .field import Field
 
 NEG_INF = float("-inf")
@@ -88,13 +89,6 @@ def _bounded_sample(model, bound: int) -> list:
     return model.elements(bound)
 
 
-def _require_nonnegative(model, sample, rhos):
-    """Refuse a nonzero element with rho < 0: the levels and the divisor start at 0."""
-    for f, r in zip(sample, rhos):
-        if r < 0 and not model.is_zero(f):
-            raise NegativeRho(f"rho({model.show(f)}) = {r} < 0")
-
-
 # ---------------------------------------------------------------------------
 # the algebra
 
@@ -105,7 +99,7 @@ class NWeightModel:
     Concrete models define the hooks `basis_keys`, `monomial_product`,
     `weight` and `show`, the key `unit_key` of the monomial 1, and
     `_order_key`, the sort key of the sample.  This class defines none of
-    them, so that `NormalizedModel` finds its base model's."""
+    them, so that `filtration.NormalizedModel` finds its base model's."""
 
     name: str
     field: Field
@@ -659,146 +653,3 @@ def axiom_check(model: NWeightModel, bound: int) -> AxiomReport:
     report.entries["order_classification"]["is_order"] = u_is_field and orders_ok
 
     return report
-
-
-# ---------------------------------------------------------------------------
-# normalization
-
-
-class NormalizedModel(NWeightModel):
-    """Same algebra, rho divided by the sampled gcd on M and clamped to 0
-    on U.  The gcd is taken over the finite sample only.  The weight is
-    phi(base weight), phi(r) = 0 for r <= rho_base(1) and r // divisor
-    above; phi is monotone, so rho is phi(rho_base).  Everything but the
-    weight and the name (the field, the other hooks, the sample) is the base
-    model's."""
-
-    def __init__(self, base: NWeightModel, divisor: int):
-        self.base = base
-        self.divisor = divisor
-        self.unit_rho = base.rho(base.one())
-        self.name = f"normalized({base.describe()}, d={divisor})"
-
-    def __getattr__(self, attr):
-        return getattr(self.base, attr)
-
-    def weight(self, key):
-        r = self.base.weight(key)
-        return 0 if r <= self.unit_rho else r // self.divisor
-
-    def _weighs(self) -> bool:
-        return self.base._weighs()
-
-    def _from_terms(self, terms):
-        return self.base._from_terms(terms)
-
-    def basis_count(self, bound: int) -> int:
-        return self.base.basis_count(bound)
-
-
-def normalize(model: NWeightModel, bound: int) -> NormalizedModel:
-    sample = _bounded_sample(model, bound)
-    rho1, rhos = model.rho(model.one()), model.rows(sample).rhos
-    _require_nonnegative(model, sample, rhos)
-    m_values = [int(r) for f, r in zip(sample, rhos) if not model.is_zero(f) and r > rho1]
-    if not m_values:
-        raise TrivialModel("no non-unit elements in the sample")
-    d = 0
-    for v in m_values:
-        d = gcd(d, v)
-    return NormalizedModel(model, d)
-
-
-# ---------------------------------------------------------------------------
-# filtration checks (subspace chain seen through sampled representatives)
-
-
-def filtration_check(model: NWeightModel, bound: int) -> dict:
-    sample = _bounded_sample(model, bound)
-    rows = model.rows(sample)
-    rhos, rho1 = rows.rhos, model.rho(model.one())
-    _require_nonnegative(model, sample, rhos)
-    nonzero = [i for i, f in enumerate(sample) if not model.is_zero(f)]
-    if not any(rhos[i] > rho1 for i in nonzero):
-        raise TrivialModel("no non-unit elements in the sample")
-    values = sorted({int(rhos[i]) for i in nonzero})
-    if values[0] != 0:
-        values.insert(0, 0)
-
-    reps = []  # per level, the sample index of its first nonzero element
-    for v in values:
-        rep = next((i for i in nonzero if rhos[i] == v), None)
-        if rep is None:  # level 0 is inserted even when no element reaches it
-            raise EmptyLevel(f"no sampled element has rho = {v}")
-        reps.append(rep)
-
-    failures = []
-    skipped = 0
-
-    # one-step growth: each new level is one-dimensional over the previous:
-    # exactly one lam with rho(f - lam*g) <= the previous level
-    for i in range(len(values) - 1):
-        level = [j for j, r in enumerate(rhos) if r == values[i + 1]]
-        for a, j in enumerate(level):
-            rest = level[a + 1 :]
-            for k, lams in zip(rest, rows.lambdas(j, rest, values[i], strict=False)):
-                if len(lams) != 1:
-                    failures.append(
-                        {"check": "one_step_growth", "f": model.show(sample[j]),
-                         "g": model.show(sample[k]), "lambdas": list(lams)}
-                    )
-
-    # l(i, j) monotonicity and the n-weight product rule, via representatives
-    max_v = values[-1]
-    is_weight = True  # checked below through the product rule
-
-    def levels(i, js):
-        """The level of rho(e_i * e_j) for j in js; None where it is -inf,
-        above the top level or no level."""
-        return [values.index(int(r)) if r != NEG_INF and r <= max_v and int(r) in values
-                else None for r in rows.product_rhos(i, js)]
-
-    ell = [levels(i, reps) for i in reps]  # ell[i][j]: the level of f_i * f_j
-    n = len(values)
-    for j in range(1, n):
-        for i in range(n - 1):
-            a, b = ell[i][j], ell[i + 1][j]
-            if a is None or b is None:
-                skipped += 1
-                continue
-            if not a < b:
-                failures.append({"check": "l_strict_growth", "i": i, "j": j, "l": (a, b)})
-    # j = 0: lower estimate over sampled unit-part elements
-    units = [i for i in nonzero if rhos[i] <= rho1]
-    est = [max((l for l in levels(i, units) if l is not None), default=None) for i in reps]
-    for i in range(n - 1):
-        a, b = est[i], est[i + 1]
-        if a is None or b is None:
-            skipped += 1
-        elif not a <= b:
-            failures.append({"check": "l_weak_growth_j0", "i": i, "l": (a, b)})
-
-    for i in range(1, n):
-        for j in range(1, n):
-            if values[i] + values[j] > max_v:
-                skipped += 1
-                continue
-            lij = ell[i][j]
-            if lij is None:
-                skipped += 1
-                continue
-            if values[lij] != values[i] + values[j]:
-                failures.append(
-                    {"check": "weight_product_rule", "i": i, "j": j, "rho": values[lij]}
-                )
-                is_weight = False
-
-    return {
-        "model": model.describe(),
-        "bound": bound,
-        "levels": len(values),
-        "verdict": "PASS" if not failures else "FAIL",
-        "failures": failures,
-        "skipped": skipped,
-        "weight_product_rule": is_weight,
-    }

@@ -41,10 +41,18 @@ def _require_size(largest_gap: int):
 
 def _parse_json(data, error):
     """data parsed if it is JSON text (str or bytes), else as given; text
-    that is not UTF-8 JSON raises error."""
+    that is not UTF-8 JSON or repeats a key in an object raises error."""
+    def unique_keys(pairs):  # json.loads alone keeps the last of repeated keys
+        obj = {}
+        for k, v in pairs:
+            if k in obj:
+                raise error(f"key {k!r} is repeated")
+            obj[k] = v
+        return obj
+
     if isinstance(data, (str, bytes)):
         try:
-            return json.loads(data)
+            return json.loads(data, object_pairs_hook=unique_keys)
         except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise error(f"not JSON: {exc}") from None
     return data

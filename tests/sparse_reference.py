@@ -7,9 +7,11 @@ full span of the basis monomials or every sum of at most two multiples, as
 the oracle of `NWeightModel.elements`.  `SparseRows` gives the values
 that `models._WeightRows` reads from packed rows, each from the element it
 describes, so it is the oracle of `_WeightRows` and the rows of test models
-that define a rho of their own (the `Sparse` mixin).  `ideal_rho` (by
-`divisible`) and `normalized_rho` are the ideal and normalized rho as
-defined before those models became weight models.
+that define a rho of their own (the `Sparse` mixin), for the axiom checker of
+`models` and for the normalization and filtration checks of `filtration`.
+`ideal_rho` (by `divisible`) and `normalized_rho` are the ideal rho of
+`models` and the normalized rho of `filtration` as defined before those
+models became weight models.
 """
 
 from __future__ import annotations
@@ -176,7 +178,7 @@ def ideal_rho(model, f):
 
 
 def normalized_rho(norm, f):
-    """rho of a `models.NormalizedModel` from its base model's rho."""
+    """rho of a `filtration.NormalizedModel` from its base model's rho."""
     base = norm.base
     r = base.rho(f)
     if r == NEG_INF:

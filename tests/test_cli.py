@@ -245,6 +245,7 @@ def test_usage_errors(capsys):
     ("nonsense",),
     ("bound", "--profile", "x.json"),
     ("semigroup", "--generators", "3,x"),
+    ("axioms", "--model", "foo"),
 ], ids=lambda argv: " ".join(argv) or "no-arguments")
 def test_usage_errors_exit_2_from_the_module(argv):
     """`python -m nordcodes.cli` exits 2 with a usage message, no traceback."""
@@ -309,6 +310,8 @@ def test_generators_not_integers(capsys):
     '{"entries": {"1_0": 1}}',
     '{"entries": {" 1": 1}}',
     '{"genus": 7, "entries": {"1": 1}}',  # a genus the entries contradict
+    '{"entries": {"1": 2, "1": 1}}',  # json keeps the last of repeated keys
+    '{"genus": 1, "genus": 1, "entries": {"1": 1}}',
 ])
 def test_bound_malformed_profile(tmp_path, capsys, text):
     path = tmp_path / "profile.json"
@@ -333,6 +336,7 @@ def test_bound_malformed_profile(tmp_path, capsys, text):
     "[1, 2]",  # TypeError
     '{"gaps": [[1, 2, 3]]}',
     '{"gaps": [true]}',
+    '{"gaps": [1, 2], "gaps": [1]}',  # once read as {"gaps": [1]}
 ])
 def test_semigroup_file_malformed(tmp_path, capsys, argv, text):
     path = tmp_path / "sg.json"
@@ -478,9 +482,11 @@ def test_startup_loads_only_the_command_layers(tmp_path, capsys, argv):
     elif argv[0] == "axioms" and not argv[2].startswith("curve"):
         assert layers == {"field", "models"}
     elif argv[0] == "axioms":
-        assert "semigroup" not in layers
+        assert layers == {"field", "hermitian", "models"}
     elif argv[:2] in (["code", "build"], ["code", "distance"]):
-        assert "bounds" not in layers
+        assert layers == {"codes", "field", "hermitian", "linalg", "value"}
+    elif argv[:2] == ["code", "verify"]:
+        assert layers == {"codes", "field", "hermitian", "linalg", "value", "bounds", "semigroup"}
 
 
 def test_package_exports_resolve_lazily():

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from curve_reference import monomial
 from nordcodes import codes
+from nordcodes.cli import main
 from nordcodes.errors import MBelowLambda, NegativeEll, SearchTooLarge, WordNotInLayer
 from nordcodes.field import make_field
 from nordcodes.hermitian import HermitianCurve
@@ -407,6 +408,34 @@ def test_verify_prop63(c2):
     last = _layer_words(c2, 5, 1)
     assert len(last) == 3
     assert all(codes.verify_prop63(c2, 5, 1, w)["verdict"] == "PASS" for w in last)
+
+
+def test_profile_built_only_where_it_is_read(monkeypatch, capsys):
+    """The builds take lambda_sigma = 2*genus - 1 and build no profile; the
+    Prop 6.3 sweep and Thm 6.1 build it once per curve and keep it."""
+    calls = []
+    closed_form = HermitianCurve.profile_closed_form
+
+    def counted(curve):
+        calls.append(curve)
+        return closed_form(curve)
+
+    monkeypatch.setattr(HermitianCurve, "profile_closed_form", counted)
+    curve = HermitianCurve(2)
+    codes.build_E(curve, 2, 1)
+    codes.build_C(curve, 2, 1)
+    codes.saturation_index(curve, 1)
+    for action in ("build", "distance"):
+        assert main(["code", action, "--q", "2", "--ell", "2", "--m", "1"]) == 0
+    assert calls == []
+    words = _layer_words(curve, 2, 1)
+    assert len(words) == 192
+    assert all(codes.verify_prop63(curve, 2, 1, w)["verdict"] == "PASS" for w in words)
+    assert codes.verify_thm61(curve, 2, 1)["verdict"] == "PASS"
+    assert calls == [curve]
+    other = HermitianCurve(2)
+    codes.verify_thm61(other, 2, 1)
+    assert calls == [curve, other]
 
 
 def test_verify_prop63_rank_gives_weight_bound(c2):

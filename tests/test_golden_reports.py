@@ -23,7 +23,7 @@ import json
 import pytest
 
 import sparse_reference as ref
-from nordcodes import cli, models
+from nordcodes import cli, filtration, models
 from nordcodes.errors import NordError
 from nordcodes.field import make_field
 from nordcodes.hermitian import HermitianCurve
@@ -72,10 +72,10 @@ def _build(kind: str, p: int, k: int):
     if kind == "halved-laurent":
         return _halved(models.LaurentModel)(F)
     if kind == "normalized-doubled-laurent":
-        return models.normalize(Doubled(F), 3)
+        return filtration.normalize(Doubled(F), 3)
     curve = HermitianCurve(p)
     if kind == "normalized-curve-rho":
-        return models.normalize(models.CurveValuationModel(curve, "rho"), 4)
+        return filtration.normalize(models.CurveValuationModel(curve, "rho"), 4)
     if kind == "halved-curve-rho":
         return _halved(models.CurveValuationModel)(curve, "rho")
     return models.CurveValuationModel(curve, kind.split("-")[1])
@@ -128,9 +128,9 @@ def digest(kind, p, k, bound, full):
     rep = _run(lambda: models.axiom_check(model, bound))
     out = {"axioms": _sha(rep if isinstance(rep, str) else rep.dumps())}
     if full:
-        filt = _run(lambda: models.filtration_check(model, bound))
+        filt = _run(lambda: filtration.filtration_check(model, bound))
         out["filtration"] = _sha(json.dumps(filt, sort_keys=True, default=str))
-        norm = _run(lambda: models.normalize(model, bound))
+        norm = _run(lambda: filtration.normalize(model, bound))
         out["normalize"] = norm if isinstance(norm, str) else norm.describe()
     return out
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import curve_reference as ref
 from nordcodes import codes
-from nordcodes.errors import UnsupportedQ
+from nordcodes.errors import MBelowLambda, UnsupportedQ
 from nordcodes.hermitian import HermitianCurve
 from nordcodes.semigroup import ns_from_generators
 
@@ -200,12 +200,17 @@ def test_good_basis_g(c2):
 ])
 def test_profile_two_derivations_agree(q, expected):
     """The counted profile against the column minima of the semigroup
-    built by the dimension-jump criterion."""
+    built by the dimension-jump criterion; its lambda_sigma = 2*genus - 1 is
+    the least m the codes take, read from the genus alone."""
     curve = HermitianCurve(q)
     closed = curve.profile_closed_form()
     via_semigroup = curve.two_point_semigroup().profile()
     assert dict(closed.entries) == dict(via_semigroup.entries) == expected
-    assert closed.lambda_sigma == 2 * closed.genus - 1
+    lam = 2 * closed.genus - 1
+    assert closed.lambda_sigma == lam
+    with pytest.raises(MBelowLambda, match=rf"^m = {lam - 1} < lambda_sigma = {lam}$"):
+        codes.build_E(curve, 0, lam - 1)
+    assert codes.build_E(curve, 0, lam).k == closed.genus  # Riemann-Roch at degree 2g - 1
 
 
 def test_profile_zero_on_nongaps(c2):

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import curve_reference as ref
 import sparse_reference as sref
-from nordcodes import models
+from nordcodes import filtration, models
 from nordcodes.errors import (
     CoefficientOutOfRange,
     EmptyLevel,
@@ -146,7 +146,7 @@ def test_deterministic_enumeration():
 
 
 def test_normalize_scales_by_gcd():
-    norm = models.normalize(DoubledWeight(F2), 3)
+    norm = filtration.normalize(DoubledWeight(F2), 3)
     assert norm.divisor == 2
     m = models.LaurentModel(F2)
     for f in m.elements(3):
@@ -155,7 +155,7 @@ def test_normalize_scales_by_gcd():
 
 def test_normalize_identity_when_gcd_one():
     m = models.LaurentModel(F2)
-    norm = models.normalize(m, 3)
+    norm = filtration.normalize(m, 3)
     assert norm.divisor == 1
     for f in m.elements(3):
         assert norm.rho(f) == m.rho(f)
@@ -163,12 +163,12 @@ def test_normalize_identity_when_gcd_one():
 
 def test_normalize_trivial_model_rejected():
     with pytest.raises(TrivialModel):
-        models.normalize(models.ConstantModel(F2, 0), 3)
+        filtration.normalize(models.ConstantModel(F2, 0), 3)
 
 
 def test_normalized_membership_unchanged():
     base = DoubledWeight(F2)
-    norm = models.normalize(base, 3)
+    norm = filtration.normalize(base, 3)
     for f in base.elements(3):
         if not base.is_zero(f):
             assert (base.rho(f) > base.rho(base.one())) == (norm.rho(f) > norm.rho(norm.one()))
@@ -178,19 +178,19 @@ def test_normalized_membership_unchanged():
 
 
 def test_filtration_laurent():
-    rep = models.filtration_check(models.LaurentModel(F2), 4)
+    rep = filtration.filtration_check(models.LaurentModel(F2), 4)
     assert rep["verdict"] == "PASS"
     assert rep["weight_product_rule"]
 
 
 def test_filtration_curve_sigma():
-    rep = models.filtration_check(models.CurveValuationModel(HermitianCurve(2), "sigma"), 4)
+    rep = filtration.filtration_check(models.CurveValuationModel(HermitianCurve(2), "sigma"), 4)
     assert rep["verdict"] == "PASS"
 
 
 def test_filtration_trivial_rejected():
     with pytest.raises(TrivialModel):
-        models.filtration_check(models.ConstantModel(F2, 1), 3)
+        filtration.filtration_check(models.ConstantModel(F2, 1), 3)
 
 
 def test_filtration_empty_level_named():
@@ -200,7 +200,7 @@ def test_filtration_empty_level_named():
             return base if base == NEG_INF else base + len(f)
 
     with pytest.raises(EmptyLevel, match="rho = 0"):
-        models.filtration_check(Broken(make_field(3, 1)), 2)
+        filtration.filtration_check(Broken(make_field(3, 1)), 2)
 
 
 # -- well-agreeing pair properties (curve rho with sigma) -------------------
@@ -371,9 +371,9 @@ WEIGHT_MODELS = [
     *((models.LaurentModel(F), 2) for F in ROW_FIELDS),
     *((models.CurveValuationModel(curve, which), 3) for curve in CURVES.values()
       for which in ("rho", "sigma")),
-    *((models.normalize(DoubledWeight(F), 1), 2) for F in ROW_FIELDS[:3]),
-    *((models.normalize(LiftedWeight(F), 2), 2) for F in ROW_FIELDS[:2]),
-    (models.normalize(models.CurveValuationModel(CURVES[2], "rho"), 4), 3),
+    *((filtration.normalize(DoubledWeight(F), 1), 2) for F in ROW_FIELDS[:3]),
+    *((filtration.normalize(LiftedWeight(F), 2), 2) for F in ROW_FIELDS[:2]),
+    (filtration.normalize(models.CurveValuationModel(CURVES[2], "rho"), 4), 3),
 ]
 
 
@@ -383,7 +383,7 @@ def _reference_rho(model):
     normalization."""
     if isinstance(model, models.IdealModel):
         return lambda f: sref.ideal_rho(model, f)
-    if isinstance(model, models.NormalizedModel):
+    if isinstance(model, filtration.NormalizedModel):
         return lambda f: sref.normalized_rho(model, f)
     return model.rho
 
@@ -494,7 +494,7 @@ def test_weight_override_report_equals_sparse_path(cls, args, bound):
     rep = models.axiom_check(fast, bound)
     assert not all(rep.passed(a) for a in ("N3", "N4", "N5", "O3"))
     assert rep.dumps() == models.axiom_check(slow, bound).dumps()
-    outcomes = {_outcome(lambda m=m: models.filtration_check(m, bound)) for m in (fast, slow)}
+    outcomes = {_outcome(lambda m=m: filtration.filtration_check(m, bound)) for m in (fast, slow)}
     assert len(outcomes) == 1
     # the weight a + 2b of CurveShifted is negative on x/y: refused on both paths
     negative = cls is CurveShifted
@@ -502,10 +502,10 @@ def test_weight_override_report_equals_sparse_path(cls, args, bound):
     if negative:
         for model in (fast, slow):
             with pytest.raises(NegativeRho):
-                models.normalize(model, bound)
+                filtration.normalize(model, bound)
 
 
-class SparseNormalized(sref.Sparse, models.NormalizedModel):
+class SparseNormalized(sref.Sparse, filtration.NormalizedModel):
     """A normalization whose rho comes from the base model's, on sparse rows."""
 
     def rho(self, f):
@@ -519,13 +519,13 @@ class SparseNormalized(sref.Sparse, models.NormalizedModel):
     (models.CurveValuationModel(HermitianCurve(2), "sigma"), 4),
 ], ids=["doubled-gf2", "doubled-gf3", "lifted-gf2", "curve-sigma"])
 def test_normalized_weight_model_matches_the_reference(base, bound):
-    norm = models.normalize(base, bound)
+    norm = filtration.normalize(base, bound)
     assert isinstance(norm.rows([]), models._WeightRows)
     slow = SparseNormalized(base, norm.divisor)
     got = models.axiom_check(norm, bound).dumps()
     assert got == models.axiom_check(slow, bound).dumps()
-    assert (_outcome(lambda: models.filtration_check(norm, bound))
-            == _outcome(lambda: models.filtration_check(slow, bound)))
+    assert (_outcome(lambda: filtration.filtration_check(norm, bound))
+            == _outcome(lambda: filtration.filtration_check(slow, bound)))
     if type(base) is DoubledWeight:  # halving the doubled weight gives the Laurent model
         assert norm.divisor == 2
         laurent = models.axiom_check(models.LaurentModel(base.field), bound).dumps()
@@ -537,12 +537,12 @@ class OwnRho(models.LaurentModel):
         return super().rho(f)
 
 
-@pytest.mark.parametrize("model", [OwnRho(F2), models.NormalizedModel(OwnRho(F2), 1),
-                                   models.NormalizedModel(sref.sparse(OwnRho)(F2), 1)],
+@pytest.mark.parametrize("model", [OwnRho(F2), filtration.NormalizedModel(OwnRho(F2), 1),
+                                   filtration.NormalizedModel(sref.sparse(OwnRho)(F2), 1)],
                          ids=["own-rho", "normalized-own-rho", "normalized-sparse"])
 def test_own_rho_without_rows_is_refused(model):
     """A rho the weights no longer define gets no verdicts read from them."""
-    for check in (models.axiom_check, models.filtration_check, models.normalize):
+    for check in (models.axiom_check, filtration.filtration_check, filtration.normalize):
         with pytest.raises(TypeError, match="defines its own rho but no rows"):
             check(model, 2)
     assert (models.axiom_check(sref.sparse(OwnRho)(F2), 2).dumps()
@@ -578,7 +578,7 @@ CLASS_MODELS = [
     (models.IdealModel(F4, [0, 0, 1]), 2),
     (models.LaurentModel(F3), 2),
     (models.CurveValuationModel(HermitianCurve(2), "rho"), 2),
-    (models.normalize(DoubledWeight(F3), 2), 2),
+    (filtration.normalize(DoubledWeight(F3), 2), 2),
     (AbsWeight(F3), 1),
     (CurveShifted(HermitianCurve(2), "sigma"), 2),
     (BrokenSparse(F2), 2),
@@ -612,7 +612,7 @@ def test_scalar_classes_give_the_report_of_every_index(case):
     (models.LaurentModel(make_field(3, 2)), range(0, 4)),
     (models.IdealModel(F4, [0, 0, 1]), range(0, 5)),
     (models.CurveValuationModel(HermitianCurve(2), "sigma"), range(-1, 6)),
-    (models.normalize(DoubledWeight(F2), 3), range(0, 5)),
+    (filtration.normalize(DoubledWeight(F2), 3), range(0, 5)),
     (models.IdealModel(make_field(3, 1), [1, 1]), range(0, 6)),
 ], ids=lambda v: getattr(v, "name", None))
 def test_sample_size_is_the_closed_form(model, bounds):
@@ -630,8 +630,8 @@ def test_sample_size_is_the_closed_form(model, bounds):
     (models.IdealModel(F3, [2, 1, 0, 1]), range(0, 10)),  # two-monomial from bound 8
     (models.CurveValuationModel(HermitianCurve(2), "rho"), range(-1, 6)),
     (models.CurveValuationModel(HermitianCurve(3), "sigma"), range(0, 4)),
-    (models.normalize(DoubledWeight(F2), 3), range(0, 6)),
-    (models.NormalizedModel(models.IdealModel(F3, [1, 0, 1]), 1), range(0, 9)),
+    (filtration.normalize(DoubledWeight(F2), 3), range(0, 6)),
+    (filtration.NormalizedModel(models.IdealModel(F3, [1, 0, 1]), 1), range(0, 9)),
 ], ids=lambda v: getattr(v, "name", None))
 def test_elements_are_the_arithmetic_sample(model, bounds):
     """The sample built from basis keys is the one the sparse algebra builds
@@ -645,8 +645,8 @@ class NoBuild(models.ConstantModel):
         raise AssertionError("the sample was built")
 
 
-@pytest.mark.parametrize("check", [models.axiom_check, models.filtration_check,
-                                   models.normalize])
+@pytest.mark.parametrize("check", [models.axiom_check, filtration.filtration_check,
+                                   filtration.normalize])
 def test_oversized_sample_refused_before_it_is_built(check):
     m = NoBuild(F2, 1)
     assert m.sample_size(61) == 1954 <= models._SAMPLE_CAP  # 62 basis monomials
