@@ -151,7 +151,10 @@ def bound_table(profile: GoodBasisProfile, ell_range, m_range) -> list[tuple]:
     ell + genus; d_nord is the minimum of those counts over the window
     [ell, ell + genus], as in d_nord itself.
     """
-    n_ell, n_m = len(ell_range), len(m_range)
+    try:
+        n_ell, n_m = len(ell_range), len(m_range)
+    except OverflowError:  # a range longer than sys.maxsize
+        raise TableTooLarge("a range has more than sys.maxsize values") from None
     if not n_ell or not n_m:
         return []
     # refused from the sizes before anything is listed; the rows first, so

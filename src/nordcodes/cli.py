@@ -31,7 +31,7 @@ def _parse_range(text: str) -> range:
     else:
         v = int(text)
         rng = range(v, v + 1)
-    if len(rng) == 0:
+    if not rng:  # len() overflows past sys.maxsize
         raise argparse.ArgumentTypeError(f"empty range: {text}")
     return rng
 
@@ -124,7 +124,7 @@ def _cmd_curve(args) -> int:
         ]
         _emit(args, "\n".join(lines) + "\n")
     else:  # points
-        lines = [f"{x} {y}" for x, y in sorted(curve.points)]
+        lines = [f"{x} {y}" for x, y in curve.points]
         _emit(args, "\n".join(lines) + "\n")
     return 0
 

@@ -14,8 +14,8 @@ so both codes come from one elimination of one evaluation matrix.
 Per-curve caches live on the HermitianCurve instance (`_cache`) and last as
 long as it does: the evaluation points; the image vector of each monomial
 x^a y^b, keyed on (a, b) and shared by `evaluation_matrix` and `basis_images`;
-`saturation_index`, keyed on m; and the profile, built on first use by the
-verifiers, its only readers (the builds take lambda_sigma = 2*genus - 1).
+and `saturation_index`, keyed on m.  The verifiers read the curve's own
+profile; the builds take lambda_sigma = 2*genus - 1 and build none.
 """
 
 from __future__ import annotations
@@ -107,8 +107,7 @@ class LinearCode(Value):
 
 class _CurveCache:
     def __init__(self, curve: HermitianCurve):
-        self.points = sorted(p for p in curve.points if p != (0, 0))
-        self.profile = None
+        self.points = curve.points[1:]  # curve.points lists (0, 0) first
         self.images: dict[tuple[int, int], tuple[int, ...]] = {}
         self.saturation: dict[int, int] = {}
 
@@ -129,14 +128,6 @@ def _image(curve: HermitianCurve, key: tuple[int, int]) -> tuple[int, ...]:
         F, (a, b) = curve.field, key
         img = cache.images[key] = tuple(F.mul(F.pow(x, a), F.pow(y, b)) for x, y in cache.points)
     return img
-
-
-def _profile(curve: HermitianCurve):
-    """The closed-form profile, built on first use and kept for the curve."""
-    cache = _cache(curve)
-    if cache.profile is None:
-        cache.profile = curve.profile_closed_form()
-    return cache.profile
 
 
 def evaluation_points(curve: HermitianCurve) -> list[tuple[int, int]]:
@@ -256,7 +247,7 @@ def verify_prop63(curve: HermitianCurve, ell: int, m: int, word) -> dict:
     in_l, in_l1 = layer_membership(curve, ell, m, word)
     if not in_l or in_l1:
         raise WordNotInLayer(f"word not in C_{ell}^{m} \\ C_{ell + 1}^{m}")
-    nset = bounds.n_set(_profile(curve), ell, m)
+    nset = bounds.n_set(curve.profile_closed_form(), ell, m)
     L = saturation_index(curve, m)
     S = syndrome_matrix(curve, m, word, L)
     zero_ok = True
@@ -294,7 +285,7 @@ def verify_thm61(curve: HermitianCurve, ell: int, m: int) -> dict:
 
     code = build_C(curve, ell, m)
     d_true = code.min_distance_bruteforce()
-    dn = bounds.d_nord(_profile(curve), ell, m)
+    dn = bounds.d_nord(curve.profile_closed_form(), ell, m)
     dg = bounds.d_goppa(ell, m, curve.genus)
     ok = d_true is None or d_true >= dn
     return {

@@ -3,15 +3,15 @@ points Q1 = the point at infinity and Q2 = (0, 0).
 
 A function regular outside {Q1, Q2} is a combination of monomials x^a y^b
 with 0 <= a <= q and b in Z.  Its support is a tuple of ((a, b),
-coefficient index) pairs sorted by the monomial key (a, b).  `reduce`
-applies the relation x^(q+1) = y^q + y, so distinct keys have pairwise
-distinct valuations at both points, and the pole orders of a support are
-the largest `pole_orders` over its keys.  The algebra on supports is
-`models.CurveValuationModel`.
+coefficient index) pairs sorted by the monomial key (a, b).  Distinct keys
+have pairwise distinct valuations at both points, so the pole orders of a
+support are the largest `pole_orders` over its keys.  `monomial_product`
+multiplies two keys with x^(q+1) = y^q + y applied at most once; the algebra
+on supports is `models.CurveValuationModel`.
 
 For a monomial x^a y^b:  v_inf = -(a*q + b*(q+1)),  v_0 = a + b*(q+1).
-The good-basis profile is counted from these keys: the reduced key of pole
-order i at Q1 has a pole at Q2 exactly when i is a gap of H(Q1).
+The good-basis profile is counted from these keys, once per curve, and the
+gap pairs of H(Q1, Q2) are read off it.
 """
 
 from __future__ import annotations
@@ -32,8 +32,10 @@ class HermitianCurve:
         self.field: Field = make_field(p, 2 * e)
         self.points = self._enumerate_points()
         assert len(self.points) == q**3
+        self._profile = None
 
     def _enumerate_points(self):
+        """Affine points as field indices, lexicographic; Q2 = (0, 0) first."""
         F, q = self.field, self.q
         pts = []
         for x in range(F.q):
@@ -45,23 +47,14 @@ class HermitianCurve:
 
     # -- monomials -------------------------------------------------------
 
-    def reduce(self, raw: dict) -> tuple:
-        """The key-sorted support of sum c * x^a y^b over raw = {(a, b): c},
-        any a >= 0, with x^(q+1) = y^q + y applied until every a <= q."""
-        F, q = self.field, self.q
-        acc: dict[tuple[int, int], int] = {}
-        stack = list(raw.items())
-        while stack:
-            (a, b), c = stack.pop()
-            if c == 0:
-                continue
-            if a > q:
-                stack.append(((a - q - 1, b + q), c))
-                stack.append(((a - q - 1, b + 1), c))
-                continue
-            key = (a, b)
-            acc[key] = F.add(acc.get(key, 0), c)
-        return tuple(sorted((k, v) for k, v in acc.items() if v != 0))
+    def monomial_product(self, k1: tuple[int, int], k2: tuple[int, int]) -> tuple:
+        """The key-sorted support of x^a1 y^b1 * x^a2 y^b2 for reduced keys.
+        a = a1 + a2 <= 2q, so x^(q+1) = y^q + y applies at most once."""
+        a, b = k1[0] + k2[0], k1[1] + k2[1]
+        q = self.q
+        if a <= q:
+            return (((a, b), 1),)
+        return (((a - q - 1, b + 1), 1), ((a - q - 1, b + q), 1))
 
     def pole_orders(self, key: tuple[int, int]) -> tuple[int, int]:
         """(rho, sigma) of x^a y^b, key = (a, b): the pole orders at Q1 and
@@ -82,8 +75,7 @@ class HermitianCurve:
             yield a, -((m + a) // (q + 1)), (ell - a * q) // (q + 1)
 
     def riemann_roch_basis(self, ell: int, m: int) -> list[tuple[int, int]]:
-        """Monomial keys (a, b) spanning {h : rho(h) <= ell, sigma(h) <= m},
-        sorted."""
+        """Sorted monomial keys (a, b) spanning {h : rho(h) <= ell, sigma(h) <= m}."""
         return sorted((a, b) for a, lo, hi in self._b_bounds(ell, m) for b in range(lo, hi + 1))
 
     def riemann_roch_dimension(self, ell: int, m: int) -> int:
@@ -91,21 +83,15 @@ class HermitianCurve:
         return sum(max(0, hi - lo + 1) for _, lo, hi in self._b_bounds(ell, m))
 
     def two_point_semigroup(self) -> TwoPointSemigroup:
-        """Gap pairs of H(Q1, Q2) via the dimension-jump criterion on the box
-        [0, 2*genus + 1]^2, which holds every gap pair."""
+        """Gap pairs of H(Q1, Q2), read off the profile: the lattice points
+        directly below or directly left of a point (i, sigma_i) of its graph
+        (S. J. Kim, Arch. Math. 62, 1994; M. Homma, Arch. Math. 67, 1996)."""
         from .semigroup import TwoPointSemigroup
 
-        box = 2 * self.genus + 1
-        dim = self.riemann_roch_dimension
-        gaps = set()
-        for alpha in range(box + 1):
-            for beta in range(box + 1):
-                if (alpha, beta) == (0, 0):
-                    continue
-                d = dim(alpha, beta)
-                if d <= dim(alpha - 1, beta) or d <= dim(alpha, beta - 1):
-                    gaps.add((alpha, beta))
-        return TwoPointSemigroup(frozenset(gaps))
+        entries = self.profile_closed_form().entries
+        below = {(i, b) for i, sigma in entries for b in range(sigma)}
+        left = {(a, sigma) for i, sigma in entries for a in range(i)}
+        return TwoPointSemigroup(frozenset(below | left))
 
     # -- good basis ------------------------------------------------------
 
@@ -126,13 +112,14 @@ class HermitianCurve:
         with pole order i at Q1.  So i is a nongap of H(Q1) = <q, q+1> iff
         b >= 0, which forces sigma = 0; a gap has b < 0, so a + b*(q+1) < 0
         and sigma > 0.  Every gap lies below 2*genus, so the profile is
-        counted over [1, 2*genus) with no semigroup built.
+        counted over [1, 2*genus), once per curve, with no semigroup built.
         """
-        from .semigroup import GoodBasisProfile
-
-        return GoodBasisProfile.from_entries({
-            i: sigma for i in range(1, 2 * self.genus)
-            if (sigma := self.pole_orders(self.good_basis_function(i))[1])})
+        if self._profile is None:
+            from .semigroup import GoodBasisProfile
+            self._profile = GoodBasisProfile.from_entries({
+                i: sigma for i in range(1, 2 * self.genus)
+                if (sigma := self.pole_orders(self.good_basis_function(i))[1])})
+        return self._profile
 
     def __repr__(self):
         return f"HermitianCurve(q={self.q}, genus={self.genus}, n_points={len(self.points)})"

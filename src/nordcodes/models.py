@@ -314,7 +314,7 @@ class CurveValuationModel(NWeightModel):
         return self.curve.riemann_roch_dimension(bound, bound)
 
     def monomial_product(self, k1, k2):
-        return self.curve.reduce({(k1[0] + k2[0], k1[1] + k2[1]): 1})
+        return self.curve.monomial_product(k1, k2)
 
     def weight(self, key):
         rho, sigma = self.curve.pole_orders(key)

@@ -41,7 +41,8 @@ def _require_size(largest_gap: int):
 
 def _parse_json(data, error):
     """data parsed if it is JSON text (str or bytes), else as given; text
-    that is not UTF-8 JSON or repeats a key in an object raises error."""
+    that is not UTF-8 JSON, nests past the recursion limit or repeats a key
+    in an object raises error."""
     def unique_keys(pairs):  # json.loads alone keeps the last of repeated keys
         obj = {}
         for k, v in pairs:
@@ -55,6 +56,8 @@ def _parse_json(data, error):
             return json.loads(data, object_pairs_hook=unique_keys)
         except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise error(f"not JSON: {exc}") from None
+        except RecursionError:
+            raise error("JSON nested too deeply") from None
     return data
 
 

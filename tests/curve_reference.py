@@ -3,9 +3,11 @@
 supports of `models.CurveValuationModel`.
 
 It reduces, adds, multiplies, takes valuations and evaluates at points on
-its own, so the curve algebra, `HermitianCurve.reduce`,
+its own, so the curve algebra, `HermitianCurve.monomial_product`,
 `HermitianCurve.pole_orders` and the point images of the code layer are
-tested against it.
+tested against it.  `dimension_jump_semigroup` builds the two-point
+semigroup from Riemann-Roch dimensions alone, the oracle of the gap pairs
+that `HermitianCurve.two_point_semigroup` reads off the profile.
 
 For a monomial x^a y^b:  v_inf = -(a*q + b*(q+1)),  v_0 = a + b*(q+1).
 """
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from nordcodes.semigroup import ns_from_generators
+from nordcodes.semigroup import TwoPointSemigroup, ns_from_generators
 
 
 class ZeroFunction(ValueError):
@@ -55,6 +57,23 @@ def good_basis_g(curve, j: int) -> tuple[int, int]:
     b = (-m_j - a) // (q + 1)
     assert curve.pole_orders((a, b)) == (0, m_j)
     return a, b
+
+
+def dimension_jump_semigroup(curve) -> TwoPointSemigroup:
+    """Gap pairs of H(Q1, Q2) by the dimension-jump criterion: (alpha, beta)
+    is a gap iff l(alpha, beta) equals l(alpha - 1, beta) or l(alpha,
+    beta - 1).  The box [0, 2*genus + 1]^2 holds every gap pair."""
+    box = 2 * curve.genus + 1
+    dim = curve.riemann_roch_dimension
+    gaps = set()
+    for alpha in range(box + 1):
+        for beta in range(box + 1):
+            if (alpha, beta) == (0, 0):
+                continue
+            d = dim(alpha, beta)
+            if d <= dim(alpha - 1, beta) or d <= dim(alpha, beta - 1):
+                gaps.add((alpha, beta))
+    return TwoPointSemigroup(frozenset(gaps))
 
 
 def function(curve, support: dict) -> "TwoPointFunction":

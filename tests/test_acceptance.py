@@ -6,8 +6,11 @@ line is always accompanied by a failing test.
 """
 
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import curve_reference as ref
 from nordcodes import bounds, codes, models
@@ -71,16 +74,19 @@ def test_acceptance_2_curve_adapters(capsys):
 
 
 def test_acceptance_3_profile_agreement(capsys):
-    """Closed-form profiles match the semigroup-derived ones for q in {2,3},
-    with a valid gap bijection and the right genus. Budget 10 s."""
+    """Closed-form profiles match the ones derived from the dimension-jump
+    semigroup for q in {2,3}, whose gap pairs are the ones read off the
+    profile, with a valid gap bijection and the right genus. Budget 10 s."""
     t0 = time.monotonic()
     expected = {2: ({1: 1}, 1), 3: ({1: 5, 2: 2, 5: 1}, 3)}
     ok = True
     for q, (entries, genus) in expected.items():
         curve = HermitianCurve(q)
         closed = curve.profile_closed_form()
-        derived = curve.two_point_semigroup().profile()
+        oracle = ref.dimension_jump_semigroup(curve)
+        derived = oracle.profile()
         ok &= dict(closed.entries) == dict(derived.entries) == entries
+        ok &= curve.two_point_semigroup().gapset == oracle.gapset
         ok &= closed.genus == derived.genus == genus == curve.genus
         ok &= closed.check_gap_bijection()["ok"]
         ok &= derived.check_gap_bijection()["ok"]
@@ -197,32 +203,29 @@ def test_acceptance_8_syndrome_rank(capsys):
     _report(capsys, 8, ok, f"layer sizes {counts}, {elapsed:.1f}s")
 
 
-def test_acceptance_9_reproducibility(tmp_path, monkeypatch, capsys):
-    """Repeated CLI runs are byte-identical, independent of NORD_THREADS."""
+def test_acceptance_9_reproducibility(tmp_path, capsys):
+    """CLI runs in fresh interpreters are byte-identical under
+    PYTHONHASHSEED = 0, 1 and 2."""
     prof_path = tmp_path / "prof.json"
     cli_main(["profile", "--hyperelliptic-gamma", "2", "--out", str(prof_path)])
     capsys.readouterr()
+    src = str(Path(__file__).resolve().parents[1] / "src")
     ok = True
     table_runs = []
     build_runs = []
-    for i, threads in enumerate(("1", "4", "1", "4")):
-        monkeypatch.setenv("NORD_THREADS", threads)
-        csv_path = tmp_path / f"table{i}.csv"
-        code = cli_main([
-            "bound", "--profile", str(prof_path), "--ell", "0", "--m", "0",
-            "--table", "--ell-range", "0..8", "--m-range", "2..4",
-            "--csv", str(csv_path),
-        ])
-        capsys.readouterr()
-        ok &= code == 0
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        csv_path = tmp_path / f"table{seed}.csv"
+        out_path = tmp_path / f"code{seed}.json"
+        for argv in (
+            ["bound", "--profile", str(prof_path), "--ell", "0", "--m", "0",
+             "--table", "--ell-range", "0..8", "--m-range", "2..4", "--csv", str(csv_path)],
+            ["code", "build", "--q", "2", "--ell", "2", "--m", "1", "--out", str(out_path)],
+        ):
+            proc = subprocess.run([sys.executable, "-m", "nordcodes.cli", *argv], env=env)
+            ok &= proc.returncode == 0
         table_runs.append(csv_path.read_bytes())
-        out_path = tmp_path / f"code{i}.json"
-        code = cli_main([
-            "code", "build", "--q", "2", "--ell", "2", "--m", "1",
-            "--out", str(out_path),
-        ])
-        capsys.readouterr()
-        ok &= code == 0
         build_runs.append(out_path.read_bytes())
     ok &= len(set(table_runs)) == 1 and len(set(build_runs)) == 1
     ok &= json.loads(build_runs[0])["n"] == 7

@@ -272,18 +272,17 @@ def test_directory_as_path(tmp_path, capsys, argv):
     assert code == 1 and out == "" and err.startswith("error: ")
 
 
-def test_byte_reproducible(hyper2_profile, capsys, monkeypatch):
+def test_byte_reproducible(hyper2_profile):
+    """One command in fresh interpreters under three hash seeds prints the
+    same bytes, so no output follows the order of a str-keyed set or dict."""
     argv = ["bound", "--profile", hyper2_profile, "--ell", "2", "--m", "3"]
     outs = []
-    for threads in (None, "1", "4"):
-        if threads is None:
-            monkeypatch.delenv("NORD_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("NORD_THREADS", threads)
-        code, out, _ = run(capsys, *argv)
-        assert code == 0
-        outs.append(out)
-    assert len(set(outs)) == 1
+    for seed in ("0", "1", "2"):
+        proc = subprocess.run([sys.executable, "-m", "nordcodes.cli", *argv],
+                              env=dict(_child_env(), PYTHONHASHSEED=seed), capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert len(set(outs)) == 1 and outs[0]
 
 
 def test_reproducible_json_outputs(capsys):
@@ -312,6 +311,9 @@ def test_generators_not_integers(capsys):
     '{"genus": 7, "entries": {"1": 1}}',  # a genus the entries contradict
     '{"entries": {"1": 2, "1": 1}}',  # json keeps the last of repeated keys
     '{"genus": 1, "genus": 1, "entries": {"1": 1}}',
+    pytest.param("[" * 100000 + "]" * 100000, id="list nested 100000 deep"),  # RecursionError
+    pytest.param('{"entries": [' + "[" * 100000 + "]" * 100000 + "]}",
+                 id="entries nested 100000 deep"),
 ])
 def test_bound_malformed_profile(tmp_path, capsys, text):
     path = tmp_path / "profile.json"
@@ -337,6 +339,8 @@ def test_bound_malformed_profile(tmp_path, capsys, text):
     '{"gaps": [[1, 2, 3]]}',
     '{"gaps": [true]}',
     '{"gaps": [1, 2], "gaps": [1]}',  # once read as {"gaps": [1]}
+    pytest.param("[" * 100000 + "]" * 100000, id="list nested 100000 deep"),  # RecursionError
+    pytest.param('{"gaps": [' + "[" * 100000 + "]" * 100000 + "]}", id="gaps nested 100000 deep"),
 ])
 def test_semigroup_file_malformed(tmp_path, capsys, argv, text):
     path = tmp_path / "sg.json"
@@ -368,6 +372,47 @@ def test_benchmark_library_calls():
     sweep = job("syndrome_sweep", "2", "2", "1")
     assert sweep["words"] == 256 and sweep["prop63_ok"] == sweep["layer"] and sweep["L"] == 6
     assert job("saturation_index", "2", "1")["L"] == 6
+
+
+def test_benchmark_in_process_outputs(tmp_path, monkeypatch):
+    """perfbench/inproc.py, as the traced benchmark run starts it, on every
+    instance of every workload: the plain run reproduces the exit codes and
+    output hashes of perfbench/reference.json, the traced run the plain
+    records, and the probes report every metric.  A deleted layer module or
+    name, a call shape the tracer hooks no longer read, or state that leaks
+    from one in-process job to the next fails here first."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    import workloads
+
+    refs = json.loads((bench / "reference.json").read_text())["instances"]
+    jobs = [[None, inst] for inst in workloads.all_instances()]  # the family is the oracle's
+
+    def child(mode):
+        spec, result = tmp_path / f"{mode}.spec.json", tmp_path / f"{mode}.result.json"
+        spec.write_text(json.dumps({"mode": mode, "jobs": jobs, "workdir": str(tmp_path),
+                                    "result": str(result), "timeout": 30.0}))
+        proc = subprocess.run([sys.executable, str(bench / "inproc.py"), str(spec)],
+                              env=dict(_child_env(), PYTHONHASHSEED="0"), cwd=tmp_path,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(result.read_text())
+
+    def outputs(result):
+        return [(r["exit"], r["stdout"], r["out"]) for r in result["records"]]
+
+    plain = outputs(child("plain"))
+    assert len(plain) == len(jobs) == len(refs)
+    for (_, inst), got in zip(jobs, plain):
+        ref = refs[workloads.instance_id(inst)]
+        assert got == (ref["exit"], ref["stdout"], ref["out"]), inst
+    assert outputs(child("traced")) == plain
+    probes = child("probes")["metrics"]
+    assert sorted(probes) == sorted(
+        [f"bounds.d_nord_s.{n}" for n in ("g10", "g20", "g40", "ell1e3", "ell1e5")]
+        + [f"codes.min_distance_s.k{k}" for k in (3, 4, 5)]
+        + [f"models.axiom_check_s.b{b}" for b in (2, 3)])
+    assert all(v > 0 for v in probes.values())
 
 
 def test_axioms_curve_basis_counted_not_listed():
@@ -475,7 +520,11 @@ def test_startup_loads_only_the_command_layers(tmp_path, capsys, argv):
     assert child_code == "0"
     assert not {"dataclasses", "inspect", "csv"} & set(loaded)
     layers = {m.removeprefix("nordcodes.") for m in loaded} - {"nordcodes", "cli", "errors"}
-    if argv[:2] == ["semigroup", "--generators"]:
+    if argv[1] == "--curve-q" or argv[:2] == ["curve", "info"]:
+        assert layers == {"field", "hermitian", "semigroup", "value"}
+    elif argv[:2] == ["curve", "points"]:
+        assert layers == {"field", "hermitian"}
+    elif argv[0] in ("semigroup", "profile"):
         assert layers == {"semigroup", "value"}
     elif argv[0] == "bound":
         assert layers == {"semigroup", "value", "bounds"}
@@ -487,6 +536,8 @@ def test_startup_loads_only_the_command_layers(tmp_path, capsys, argv):
         assert layers == {"codes", "field", "hermitian", "linalg", "value"}
     elif argv[:2] == ["code", "verify"]:
         assert layers == {"codes", "field", "hermitian", "linalg", "value", "bounds", "semigroup"}
+    else:
+        pytest.fail(f"no layer set pinned for {argv}")
 
 
 def test_package_exports_resolve_lazily():
@@ -561,7 +612,7 @@ def guard_dir(tmp_path_factory):
 _INT = st.one_of(st.integers(-2, 9), st.sampled_from([10**3, 10**8])).map(str)
 _RANGE = st.one_of(
     st.tuples(st.integers(0, 12), st.integers(-1, 12)).map(lambda r: f"{r[0]}..{r[1]}"),
-    st.just("0..100000000"))
+    st.sampled_from(["0..100000000", "0..99999999999999999999"]))  # past sys.maxsize
 _PATH = st.sampled_from(["ns.json", "tps.json", "prof.json", "text.json", "gaps.json",
                          "missing.json", ""]).map(lambda name: "{tmp}/" + name)
 _GENERATORS = st.lists(st.integers(-1, 12), min_size=1, max_size=3).map(
@@ -612,6 +663,10 @@ def _guard_argv(draw):
                "--ell-range", "0..100000000"])
 @example(argv=["bound", "--profile", "{tmp}/prof.json", "--ell", "0", "--m", "3", "--table",
                "--m-range", "3..100000000"])
+@example(argv=["bound", "--profile", "{tmp}/prof.json", "--ell", "0", "--m", "3", "--table",
+               "--ell-range", "0..99999999999999999999"])
+@example(argv=["bound", "--profile", "{tmp}/prof.json", "--ell", "0", "--m", "3", "--table",
+               "--m-range", "3..99999999999999999999"])
 def test_every_argv_ends_in_an_exit_code(guard_dir, capsys, argv):
     """cli.main in-process: exit 0, 1 or 2, no exception, and at most
     GUARD_SECONDS of wall time."""
@@ -643,6 +698,11 @@ LONG_OR_RAISED = [
       "--ell-range", "0..100000000"], 1, "TableTooLarge", 2.0),
     (["bound", "--profile", "{tmp}/prof.json", "--ell", "0", "--m", "3", "--table",
       "--m-range", "3..100000000"], 1, "TableTooLarge", 2.0),
+    # len() of a range past sys.maxsize raised OverflowError
+    (["bound", "--profile", "{tmp}/prof.json", "--ell", "0", "--m", "3", "--table",
+      "--ell-range", "0..99999999999999999999"], 1, "TableTooLarge", 1.0),
+    (["bound", "--profile", "{tmp}/prof.json", "--ell", "0", "--m", "3", "--table",
+      "--m-range", "3..99999999999999999999"], 1, "TableTooLarge", 1.0),
     # one ell >= 0 rule for every code action (build and distance printed k = 0)
     (["code", "build", "--q", "2", "--ell", "-5", "--m", "1"], 1, "NegativeEll", 1.0),
     (["code", "distance", "--q", "2", "--ell", "-5", "--m", "1"], 1, "NegativeEll", 1.0),

@@ -13,6 +13,7 @@ from nordcodes.errors import MBelowLambda, NegativeEll, SearchTooLarge, WordNotI
 from nordcodes.field import make_field
 from nordcodes.hermitian import HermitianCurve
 from nordcodes.linalg import rank
+from nordcodes.semigroup import GoodBasisProfile
 from test_linalg import ref_nullspace
 
 
@@ -413,29 +414,29 @@ def test_verify_prop63(c2):
 def test_profile_built_only_where_it_is_read(monkeypatch, capsys):
     """The builds take lambda_sigma = 2*genus - 1 and build no profile; the
     Prop 6.3 sweep and Thm 6.1 build it once per curve and keep it."""
-    calls = []
-    closed_form = HermitianCurve.profile_closed_form
+    builds = []
+    from_entries = GoodBasisProfile.from_entries
 
-    def counted(curve):
-        calls.append(curve)
-        return closed_form(curve)
+    def counted(cls, entries):
+        builds.append(entries)
+        return from_entries(entries)
 
-    monkeypatch.setattr(HermitianCurve, "profile_closed_form", counted)
+    monkeypatch.setattr(GoodBasisProfile, "from_entries", classmethod(counted))
     curve = HermitianCurve(2)
     codes.build_E(curve, 2, 1)
     codes.build_C(curve, 2, 1)
     codes.saturation_index(curve, 1)
     for action in ("build", "distance"):
         assert main(["code", action, "--q", "2", "--ell", "2", "--m", "1"]) == 0
-    assert calls == []
+    assert len(builds) == 0
     words = _layer_words(curve, 2, 1)
     assert len(words) == 192
     assert all(codes.verify_prop63(curve, 2, 1, w)["verdict"] == "PASS" for w in words)
     assert codes.verify_thm61(curve, 2, 1)["verdict"] == "PASS"
-    assert calls == [curve]
+    assert len(builds) == 1
     other = HermitianCurve(2)
     codes.verify_thm61(other, 2, 1)
-    assert calls == [curve, other]
+    assert len(builds) == 2
 
 
 def test_verify_prop63_rank_gives_weight_bound(c2):

@@ -1,7 +1,6 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import curve_reference as ref
 from nordcodes import codes
@@ -66,20 +65,22 @@ def test_pole_orders_match_reference(q):
             assert curve.pole_orders((a, b)) == (v.rho, v.sigma)
 
 
-def test_reduction_rule(c2):
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_monomial_product_matches_reference(q):
+    """The one-step product of every pair of reduced keys in a b-window
+    against the reference's general reduction."""
+    curve = HermitianCurve(q)
+    keys = [(a, b) for a in range(q + 1) for b in range(-q - 1, q + 2)]
+    for (a1, b1), (a2, b2) in itertools.product(keys, repeat=2):
+        expected = ref.function(curve, {(a1 + a2, b1 + b2): 1}).support
+        assert curve.monomial_product((a1, b1), (a2, b2)) == expected
+
+
+def test_monomial_product_example(c2):
     # x^3 = y^2 + y for q = 2
-    assert dict(c2.reduce({(3, 0): 1})) == {(0, 2): 1, (0, 1): 1}
+    assert c2.monomial_product((1, 0), (2, 0)) == (((0, 1), 1), ((0, 2), 1))
     f = ref.monomial(c2, 1, 0) * ref.monomial(c2, 2, 0)
     assert dict(f.support) == {(0, 2): 1, (0, 1): 1}
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from([2, 3]), st.data())
-def test_reduce_matches_reference(q, data):
-    curve = HermitianCurve(q)
-    raw = data.draw(st.dictionaries(st.tuples(st.integers(0, 3 * q), st.integers(-3, 3)),
-                                    st.integers(0, curve.field.q - 1), max_size=5))
-    assert curve.reduce(raw) == ref.function(curve, raw).support
 
 
 def test_evaluate(c2):
@@ -200,12 +201,15 @@ def test_good_basis_g(c2):
 ])
 def test_profile_two_derivations_agree(q, expected):
     """The counted profile against the column minima of the semigroup
-    built by the dimension-jump criterion; its lambda_sigma = 2*genus - 1 is
-    the least m the codes take, read from the genus alone."""
+    built by the dimension-jump criterion, whose gap pairs are the ones read
+    off the profile; its lambda_sigma = 2*genus - 1 is the least m the codes
+    take, read from the genus alone."""
     curve = HermitianCurve(q)
     closed = curve.profile_closed_form()
-    via_semigroup = curve.two_point_semigroup().profile()
+    oracle = ref.dimension_jump_semigroup(curve)
+    via_semigroup = oracle.profile()
     assert dict(closed.entries) == dict(via_semigroup.entries) == expected
+    assert curve.two_point_semigroup().gapset == oracle.gapset
     lam = 2 * closed.genus - 1
     assert closed.lambda_sigma == lam
     with pytest.raises(MBelowLambda, match=rf"^m = {lam - 1} < lambda_sigma = {lam}$"):
