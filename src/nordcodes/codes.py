@@ -11,11 +11,11 @@ The dimension of E_l^m is counted from two Riemann-Roch dimensions
 itself an evaluation code, E at the dual divisor (n + 2g - 1 - l, -m - 1),
 so both codes come from one elimination of one evaluation matrix.
 
-Per-curve caches live on the HermitianCurve instance (`_cache`) and last as
-long as it does: the evaluation points; the image vector of each monomial
-x^a y^b, keyed on (a, b) and shared by `evaluation_matrix` and `basis_images`;
-and `saturation_index`, keyed on m.  The verifiers read the curve's own
-profile; the builds take lambda_sigma = 2*genus - 1 and build none.
+Every row and syndrome is read off the curve's monomial images
+(`HermitianCurve.image`): S(y) dots the word once per distinct key sum.
+`saturation_index` keeps one dict per curve, keyed on m.  The verifiers
+read the curve's own profile; the builds take lambda_sigma = 2*genus - 1
+and build none.
 """
 
 from __future__ import annotations
@@ -105,34 +105,9 @@ class LinearCode(Value):
 # curve codes
 
 
-class _CurveCache:
-    def __init__(self, curve: HermitianCurve):
-        self.points = curve.points[1:]  # curve.points lists (0, 0) first
-        self.images: dict[tuple[int, int], tuple[int, ...]] = {}
-        self.saturation: dict[int, int] = {}
-
-
-def _cache(curve: HermitianCurve) -> _CurveCache:
-    cache = vars(curve).get("_codes_cache")
-    if cache is None:
-        cache = curve._codes_cache = _CurveCache(curve)
-    return cache
-
-
-def _image(curve: HermitianCurve, key: tuple[int, int]) -> tuple[int, ...]:
-    """Values of the monomial x^a y^b, key = (a, b), at the evaluation points;
-    y != 0 at each of them, so a negative b is a power of 1/y."""
-    cache = _cache(curve)
-    img = cache.images.get(key)
-    if img is None:
-        F, (a, b) = curve.field, key
-        img = cache.images[key] = tuple(F.mul(F.pow(x, a), F.pow(y, b)) for x, y in cache.points)
-    return img
-
-
 def evaluation_points(curve: HermitianCurve) -> list[tuple[int, int]]:
     """All affine points except the base point (0, 0), lexicographic order."""
-    return list(_cache(curve).points)
+    return list(curve.points[1:])  # curve.points lists (0, 0) first
 
 
 def _check_m(curve: HermitianCurve, m: int):
@@ -149,7 +124,7 @@ def _check_cell(curve: HermitianCurve, ell: int, m: int):
 
 
 def evaluation_matrix(curve: HermitianCurve, ell: int, m: int) -> list[list[int]]:
-    return [list(_image(curve, key)) for key in curve.riemann_roch_basis(ell, m)]
+    return [list(curve.image(key)) for key in curve.riemann_roch_basis(ell, m)]
 
 
 def dimension(curve: HermitianCurve, ell: int, m: int) -> int:
@@ -163,7 +138,7 @@ def dimension(curve: HermitianCurve, ell: int, m: int) -> int:
 def _evaluation_code(curve: HermitianCurve, ell: int, m: int) -> LinearCode:
     """E_ell^m for any ell and m, row-reduced; the identity, with nothing
     listed, once `dimension` says it is the full space F^n."""
-    n = len(_cache(curve).points)
+    n = len(curve.points) - 1
     if dimension(curve, ell, m) == n:
         identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         return LinearCode(curve.field, n, identity)
@@ -184,7 +159,7 @@ def build_C(curve: HermitianCurve, ell: int, m: int) -> LinearCode:
     C_ell^m = E_{n+2g-1-ell}^{-m-1} exactly (Stichtenoth, Algebraic Function
     Fields and Codes, 2nd ed., 2.2 and 8.3)."""
     _check_cell(curve, ell, m)
-    n = len(_cache(curve).points)
+    n = len(curve.points) - 1
     return _evaluation_code(curve, n + 2 * curve.genus - 1 - ell, -m - 1)
 
 
@@ -192,13 +167,11 @@ def saturation_index(curve: HermitianCurve, m: int) -> int:
     """Least L >= 0 with E_L^m = the full space F^n.  By Riemann-Roch it is
     at most max(0, n + 2*genus - 1 - m), so the counted search is short."""
     _check_m(curve, m)
-    cache = _cache(curve)
-    if m not in cache.saturation:
-        n = len(cache.points)
-        cache.saturation[m] = next(
-            ell for ell in range(n + 2 * curve.genus) if dimension(curve, ell, m) == n
-        )
-    return cache.saturation[m]
+    memo = vars(curve).setdefault("_saturation", {})  # lives as long as the curve
+    if m not in memo:
+        n = len(curve.points) - 1
+        memo[m] = next(ell for ell in range(n + 2 * curve.genus) if dimension(curve, ell, m) == n)
+    return memo[m]
 
 
 # ---------------------------------------------------------------------------
@@ -212,16 +185,15 @@ class SyndromeMatrix(Value):
         return linalg.rank([list(r) for r in self.entries], field)
 
 
-def basis_images(curve: HermitianCurve, count: int) -> list[list[int]]:
-    """h_t = evaluation of the canonical good-basis function f_t, t = 0..count-1."""
-    return [list(_image(curve, curve.good_basis_function(t))) for t in range(count)]
-
-
 def syndrome_matrix(curve: HermitianCurve, m: int, word, L: int) -> SyndromeMatrix:
+    """S(y)_ij = sum_P y_P f_i(P) f_j(P), 0 <= i, j <= L, f_t the good-basis
+    monomial of key k_t.  f_i f_j is the monomial of k_i + k_j, so S(y) has one
+    dot of the word per distinct key sum."""
     F = curve.field
-    h = basis_images(curve, L + 1)
-    hy = [[F.mul(a, b) for a, b in zip(h_j, word)] for h_j in h]  # h_j o y
-    entries = tuple(tuple(F.dot(h_i, hy_j) for hy_j in hy) for h_i in h)
+    keys = [curve.good_basis_function(t) for t in range(L + 1)]
+    sums = [[(a1 + a2, b1 + b2) for a2, b2 in keys] for a1, b1 in keys]
+    dots = {key: F.dot(curve.image(key), word) for key in set(itertools.chain(*sums))}
+    entries = tuple(tuple(dots[key] for key in row) for row in sums)
     return SyndromeMatrix(entries, tuple(word))
 
 
@@ -233,7 +205,7 @@ def layer_membership(curve: HermitianCurve, ell: int, m: int, word) -> tuple[boo
     def orthogonal(l):
         if l >= saturated:
             return not any(word)
-        return all(F.dot(row, word) == 0 for row in evaluation_matrix(curve, l, m))
+        return all(F.dot(curve.image(k), word) == 0 for k in curve.riemann_roch_basis(l, m))
 
     return orthogonal(ell), orthogonal(ell + 1)
 
@@ -299,6 +271,19 @@ def verify_thm61(curve: HermitianCurve, ell: int, m: int) -> dict:
         "goppa_ok": d_true is None or dg <= 0 or d_true >= dg,
         "verdict": "PASS" if ok else "FAIL",
     }
+
+
+def verify(curve: HermitianCurve, ell: int, m: int) -> dict:
+    """The `code verify` report: Theorem 6.1 by brute force, and Prop 6.1's
+    dim E_ell^m = ell + m + 1 - genus for ell + m < n, E eliminated, not counted."""
+    thm = verify_thm61(curve, ell, m)
+    code = build_E(curve, ell, m)
+    expected = ell + m + 1 - curve.genus
+    applies = ell + m < code.n
+    prop = {"dim": code.k, "expected": expected, "applies": applies,
+            "verdict": "PASS" if not applies or code.k == expected else "FAIL"}
+    ok = thm["verdict"] == "PASS" and prop["verdict"] == "PASS"
+    return {"thm61": thm, "prop61": prop, "verdict": "PASS" if ok else "FAIL"}
 
 
 def code_to_json(curve: HermitianCurve, ell: int, m: int) -> str:

@@ -11,7 +11,8 @@ on supports is `models.CurveValuationModel`.
 
 For a monomial x^a y^b:  v_inf = -(a*q + b*(q+1)),  v_0 = a + b*(q+1).
 The good-basis profile is counted from these keys, once per curve, and the
-gap pairs of H(Q1, Q2) are read off it.
+gap pairs of H(Q1, Q2) are read off it.  `image` evaluates a key on the code
+support, every affine point but Q2, once per key per curve.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ class HermitianCurve:
         self.points = self._enumerate_points()
         assert len(self.points) == q**3
         self._profile = None
+        self._images: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def _enumerate_points(self):
         """Affine points as field indices, lexicographic; Q2 = (0, 0) first."""
@@ -46,6 +48,15 @@ class HermitianCurve:
         return pts
 
     # -- monomials -------------------------------------------------------
+
+    def image(self, key: tuple[int, int]) -> tuple[int, ...]:
+        """Values of x^a y^b, key = (a, b), at points[1:].  y != 0 there, so a
+        negative b is a power of 1/y, and the image of a key sum is the
+        entrywise product of the two images."""
+        if key not in self._images:
+            F, (a, b) = self.field, key
+            self._images[key] = tuple(F.mul(F.pow(x, a), F.pow(y, b)) for x, y in self.points[1:])
+        return self._images[key]
 
     def monomial_product(self, k1: tuple[int, int], k2: tuple[int, int]) -> tuple:
         """The key-sorted support of x^a1 y^b1 * x^a2 y^b2 for reduced keys.

@@ -172,6 +172,17 @@ def test_code_verify_builds_E_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("argv,field_flags", [
+    (("--model", "curve-rho", "--q", "2", "--bound", "1"), ("--p", "4")),
+    (("--model", "curve-sigma", "--q", "3"), ("--k", "9")),
+])
+def test_axioms_curve_models_ignore_field_flags(capsys, argv, field_flags):
+    """A curve model runs over the curve's GF(q^2), so a --p that is not
+    prime or a --k past the field cap changes nothing."""
+    code, out, err = run(capsys, "axioms", *argv, *field_flags)
+    assert (code, err) == (0, "") and (code, out, err) == run(capsys, "axioms", *argv)
+
+
 def test_axioms_laurent(capsys):
     code, out, _ = run(
         capsys, "axioms", "--model", "laurent", "--p", "2", "--k", "2", "--bound", "2"
@@ -246,6 +257,12 @@ def test_usage_errors(capsys):
     ("bound", "--profile", "x.json"),
     ("semigroup", "--generators", "3,x"),
     ("axioms", "--model", "foo"),
+    # bound's table-only options: ignored without --table, or two files for one table
+    ("bound", "--profile", "x.json", "--ell", "30", "--m", "19", "--csv", "t.csv"),
+    ("bound", "--profile", "x.json", "--ell", "2", "--m", "3", "--ell-range", "0..3"),
+    ("bound", "--profile", "x.json", "--ell", "2", "--m", "3", "--m-range", "3..4"),
+    ("bound", "--profile", "x.json", "--ell", "0", "--m", "0", "--table", "--csv", "A",
+     "--out", "B"),
 ], ids=lambda argv: " ".join(argv) or "no-arguments")
 def test_usage_errors_exit_2_from_the_module(argv):
     """`python -m nordcodes.cli` exits 2 with a usage message, no traceback."""
@@ -406,7 +423,16 @@ def test_benchmark_in_process_outputs(tmp_path, monkeypatch):
     for (_, inst), got in zip(jobs, plain):
         ref = refs[workloads.instance_id(inst)]
         assert got == (ref["exit"], ref["stdout"], ref["out"]), inst
-    assert outputs(child("traced")) == plain
+    # the self-checks of a traced benchmark run: the job outputs, counts that
+    # repeat from one traced run to the next, and span times that add up to
+    # each job's wall (perfbench/run.py's bound)
+    traced = [child("traced") for _ in range(2)]
+    for result in traced:
+        assert outputs(result) == plain
+        for rec, gap in zip(result["records"], result["unaccounted_s"]):
+            assert -1e-6 <= gap <= 0.002 + 0.01 * rec["wall"], (gap, rec["wall"])
+    counts = [{k: v for k, v in r["metrics"].items() if isinstance(v, int)} for r in traced]
+    assert counts[0] == counts[1] and counts[0]
     probes = child("probes")["metrics"]
     assert sorted(probes) == sorted(
         [f"bounds.d_nord_s.{n}" for n in ("g10", "g20", "g40", "ell1e3", "ell1e5")]

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import curve_reference as ref
 from nordcodes import codes
@@ -76,6 +77,22 @@ def test_monomial_product_matches_reference(q):
         assert curve.monomial_product((a1, b1), (a2, b2)) == expected
 
 
+@settings(max_examples=80, deadline=None)
+@given(q=st.sampled_from([2, 3, 4, 5]), data=st.data())
+def test_image_of_a_key_sum_is_the_product_of_images(q, data):
+    """The identity that key-sum syndromes rest on: y != 0 on the code
+    support, so the image of k1 + k2 (a up to 2q, unreduced) is the entrywise
+    product of the two images, and every image is the reference evaluation."""
+    curve = HermitianCurve(q)
+    F, pts = curve.field, curve.points[1:]
+    key = st.tuples(st.integers(0, q), st.integers(-q - 1, q + 1))
+    k1, k2 = data.draw(key), data.draw(key)
+    k12 = (k1[0] + k2[0], k1[1] + k2[1])
+    assert curve.image(k12) == tuple(map(F.mul, curve.image(k1), curve.image(k2)))
+    for k in (k1, k2, k12):
+        assert list(curve.image(k)) == [ref.monomial(curve, *k).evaluate(p) for p in pts]
+
+
 def test_monomial_product_example(c2):
     # x^3 = y^2 + y for q = 2
     assert c2.monomial_product((1, 0), (2, 0)) == (((0, 1), 1), ((0, 2), 1))
@@ -98,7 +115,7 @@ def test_evaluate(c2):
     # the point images of the code layer
     pts = codes.evaluation_points(c2)
     for key in c2.riemann_roch_basis(6, 6):
-        assert list(codes._image(c2, key)) == [ref.monomial(c2, *key).evaluate(p) for p in pts]
+        assert list(c2.image(key)) == [ref.monomial(c2, *key).evaluate(p) for p in pts]
 
 
 def test_riemann_roch_basis(c2):
