@@ -37,7 +37,7 @@ def _parse_range(text: str) -> range:
 
 
 def _emit(args, text: str):
-    if getattr(args, "out", None):
+    if getattr(args, "out", None) is not None:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
@@ -90,7 +90,7 @@ def _cmd_bound(args) -> int:
         m_range = args.m_range or _parse_range(str(args.m))
         rows = bounds.bound_table(prof, ell_range, m_range)
         text = bounds.bound_table_csv(rows)
-        if args.csv:
+        if args.csv is not None:
             with open(args.csv, "w") as fh:
                 fh.write(text)
         else:

@@ -13,9 +13,9 @@ so both codes come from one elimination of one evaluation matrix.
 
 Every row and syndrome is read off the curve's monomial images
 (`HermitianCurve.image`): S(y) dots the word once per distinct key sum.
-`saturation_index` keeps one dict per curve, keyed on m.  The verifiers
-read the curve's own profile; the builds take lambda_sigma = 2*genus - 1
-and build none.
+`saturation_index` is counted from one least pole order, in O(q).  The
+verifiers read the curve's own profile; the builds take lambda_sigma =
+2*genus - 1 and build none.
 """
 
 from __future__ import annotations
@@ -164,14 +164,15 @@ def build_C(curve: HermitianCurve, ell: int, m: int) -> LinearCode:
 
 
 def saturation_index(curve: HermitianCurve, m: int) -> int:
-    """Least L >= 0 with E_L^m = the full space F^n.  By Riemann-Roch it is
-    at most max(0, n + 2*genus - 1 - m), so the counted search is short."""
+    """Least L >= 0 with E_L^m = the full space F^n, counted.  For
+    m >= lambda_sigma, dim C_L^m = l((n + 2g - 1 - L) Q1 - (m + 1) Q2), the
+    dual divisor of `build_C`, which is 0 exactly when n + 2g - 1 - L < mu:
+    mu is the least pole order at Q1 of a monomial x^a y^b with a zero of
+    order >= m + 1 at Q2, b = ceil((m + 1 - a) / (q + 1))."""
     _check_m(curve, m)
-    memo = vars(curve).setdefault("_saturation", {})  # lives as long as the curve
-    if m not in memo:
-        n = len(curve.points) - 1
-        memo[m] = next(ell for ell in range(n + 2 * curve.genus) if dimension(curve, ell, m) == n)
-    return memo[m]
+    q, n = curve.q, len(curve.points) - 1
+    mu = min(a * q - (q + 1) * ((a - m - 1) // (q + 1)) for a in range(q + 1))
+    return max(0, n + 2 * curve.genus - mu)
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +228,6 @@ def verify_prop63(curve: HermitianCurve, ell: int, m: int, word) -> dict:
     pattern = []
     for u, (iu, _) in enumerate(nset.pairs):
         for v, (_, jv) in enumerate(nset.pairs):
-            if iu > L or jv > L:
-                continue
             val = S.entries[iu][jv]
             if u < v and val != 0:
                 zero_ok = False

@@ -2,10 +2,13 @@
 
 Elements are encoded by an integer index in [0, q): the base-p digits of the
 index, little-endian, are the coefficients of the residue polynomial modulo
-the field's irreducible modulus.  Every field gets, once, exp/log tables
-w.r.t. a fixed generator and full add, mul and neg tables, so each operation
-is a table lookup.  Larger fields are refused with FieldTooLarge before any
-table is built.
+the field's irreducible modulus, the lexicographically least monic one.
+Every field gets, once, full add, mul and neg tables and exp/log tables
+w.r.t. a fixed generator, so each operation is a table lookup.  The tables
+recurse on the digits alone: x = x0 + p*x' is the polynomial x0 + t*x'(t),
+so a sum, a scaling by a constant and a product by t each take the entry of
+x' and add one digit, and a*b = b0*a + t*(a*b') takes the entry of b'.
+Larger fields are refused with FieldTooLarge before any table is built.
 
 Vectors are lists of indices.  `Field.scale_row`, `Field.add_scaled_row` and
 `Field.dot` are the whole-row operations that `linalg` and `codes` run on.
@@ -33,41 +36,7 @@ def _is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over GF(p), coefficients little-endian tuples
-
-
-def _poly_trim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _poly_mod(a, m, p):
-    # remainder of a by monic m over GF(p)
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) - 1 >= dm and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        shift = len(a) - 1 - dm
-        lead = a[-1]
-        for i, ci in enumerate(m):
-            a[shift + i] = (a[shift + i] - lead * ci) % p
-        a.pop()
-    return _poly_trim(a)
-
-
-def _poly_mul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
+# the modulus search, on little-endian coefficient tuples over GF(p)
 
 
 def _monic_polys(p: int, degree: int):
@@ -76,19 +45,20 @@ def _monic_polys(p: int, degree: int):
         yield low + (1,)
 
 
+def _divides(g, a, p: int) -> bool:
+    """Whether monic g divides a over GF(p): long division, zero remainder."""
+    a, dg = list(a), len(g) - 1
+    for shift in range(len(a) - 1 - dg, -1, -1):
+        lead = a[shift + dg]
+        for i, gi in enumerate(g):
+            a[shift + i] = (a[shift + i] - lead * gi) % p
+    return not any(a)
+
+
 def _is_irreducible(poly, p: int) -> bool:
+    # a reducible poly has a monic factor of degree <= half its own
     deg = len(poly) - 1
-    if deg <= 0:
-        return False
-    if deg == 1:
-        return True
-    if poly[0] == 0:  # divisible by t
-        return False
-    for d in range(1, deg // 2 + 1):
-        for g in _monic_polys(p, d):
-            if not _poly_mod(poly, g, p):
-                return False
-    return True
+    return not any(_divides(g, poly, p) for d in range(1, deg // 2 + 1) for g in _monic_polys(p, d))
 
 
 def _default_modulus(p: int, k: int):
@@ -118,32 +88,35 @@ class Field:
         self.modulus = _default_modulus(p, k)
         self._build_tables()
 
-    # index <-> coefficient tuple
-    def coeffs(self, index: int):
-        c = []
-        for _ in range(self.k):
-            c.append(index % self.p)
-            index //= self.p
-        return tuple(c)
-
-    def from_coeffs(self, c) -> int:
-        idx = 0
-        reduced = _poly_mod(c, self.modulus, self.p)
-        for ci in reversed(reduced + (0,) * (self.k - len(reduced))):
-            idx = idx * self.p + ci
-        return idx
-
-    def _raw_mul(self, a: int, b: int) -> int:
-        prod = _poly_mul(self.coeffs(a), self.coeffs(b), self.p)
-        return self.from_coeffs(prod)
-
     def _build_tables(self):
-        q = self.q
+        """Every table from the base-p digits of the indices: x = x0 + p*x'
+        is the polynomial x0 + t*x'(t), x0 = x mod p."""
+        p, q = self.p, self.q
+        top = q // p  # the place value of the coefficient of t^(k-1)
+        add = [list(range(q))]
+        for a in range(1, q):
+            below = add[a // p]
+            add.append([p * below[b // p] + (a + b) % p for b in range(q)])
+        scale = []  # scale[c][x] = c*x for the p constants c
+        for c in range(p):
+            row = [0] * q
+            for x in range(1, q):
+                row[x] = p * row[x // p] + c * x % p
+            scale.append(row)
+        # t^k = -(m_0 + ... + m_(k-1) t^(k-1)), folded in for the top digit
+        low = sum(c * p**i for i, c in enumerate(self.modulus[:-1]))
+        times_t = [add[x % top * p][scale[-(x // top) % p][low]] for x in range(q)]
+        mul = []  # a*b = b0*a + t*(a*b') for b = b0 + p*b'
+        for a in range(q):
+            row = [0] * q
+            for b in range(1, q):
+                row[b] = add[scale[b % p][a]][times_t[row[b // p]]]
+            mul.append(row)
         # the first element of order q - 1 generates; g = 1 does only for q = 2
         for g in range(1, q):
             x, order = g, 1
             while x != 1:
-                x = self._raw_mul(x, g)
+                x = mul[g][x]
                 order += 1
             if order == q - 1:
                 break
@@ -153,33 +126,9 @@ class Field:
         for i in range(q - 1):
             exp[i] = x
             log[x] = i
-            x = self._raw_mul(x, g)
+            x = mul[g][x]
         self.generator, self._exp, self._log = g, exp, log
-        self._add = [[self._digit_add(a, b) for b in range(q)] for a in range(q)]
-        self._mul = [[0] * q] + [
-            [0] + [exp[(log[a] + log[b]) % (q - 1)] for b in range(1, q)]
-            for a in range(1, q)
-        ]
-        self._neg = [self._digit_neg(a) for a in range(q)]
-
-    def _digit_add(self, a: int, b: int) -> int:
-        p = self.p
-        out, mult = 0, 1
-        for _ in range(self.k):
-            out += ((a % p + b % p) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
-
-    def _digit_neg(self, a: int) -> int:
-        p = self.p
-        out, mult = 0, 1
-        for _ in range(self.k):
-            out += ((-(a % p)) % p) * mult
-            a //= p
-            mult *= p
-        return out
+        self._add, self._mul, self._neg = add, mul, scale[p - 1]
 
     # -- arithmetic on indices -------------------------------------------
 

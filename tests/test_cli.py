@@ -282,10 +282,15 @@ def test_missing_file(capsys):
 @pytest.mark.parametrize("argv", [
     ("bound", "--profile", "{dir}", "--ell", "2", "--m", "3"),
     ("curve", "info", "--q", "2", "--out", "{dir}"),
+    ("bound", "--profile", "{profile}", "--ell", "0", "--m", "3", "--out", ""),
+    ("bound", "--profile", "{profile}", "--ell", "0", "--m", "3", "--table", "--ell-range", "0..1",
+     "--csv", ""),
+    ("curve", "info", "--q", "2", "--out", ""),
 ])
-def test_directory_as_path(tmp_path, capsys, argv):
-    # a directory as input or as --out is an OSError, not a traceback
-    code, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+def test_directory_as_path(tmp_path, hyper2_profile, capsys, argv):
+    # a directory or an empty path, as input, --out or --csv, is an OSError,
+    # not a traceback and not stdout
+    code, out, err = run(capsys, *(a.format(dir=tmp_path, profile=hyper2_profile) for a in argv))
     assert code == 1 and out == "" and err.startswith("error: ")
 
 

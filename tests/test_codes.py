@@ -246,6 +246,7 @@ def test_nesting(c2):
 def test_saturation_index(c2):
     assert codes.saturation_index(c2, 1) == 6
     assert codes.saturation_index(c2, 2) == 6
+    assert codes.saturation_index(SMALL_CURVES[4], 60) == 11  # README's example
     # rank is monotone in ell and full exactly from the saturation index on
     from nordcodes.linalg import rank
 
@@ -254,6 +255,20 @@ def test_saturation_index(c2):
     ]
     assert ranks == sorted(ranks)
     assert ranks[6] == 7 and ranks[5] < 7
+
+
+def _scanned_saturation_index(curve, m):
+    """The oracle: the least ell whose counted dimension is n."""
+    n = len(curve.points) - 1
+    return next(ell for ell in range(n + 2 * curve.genus) if codes.dimension(curve, ell, m) == n)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_saturation_index_matches_the_scan(q):
+    curve = HermitianCurve(q)
+    lam = 2 * curve.genus - 1
+    for m in range(lam, lam + 3 * q**3):
+        assert codes.saturation_index(curve, m) == _scanned_saturation_index(curve, m)
 
 
 @st.composite

@@ -1,7 +1,9 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 from sympy import ZZ
-from sympy.polys.galoistools import gf_add, gf_irreducible_p, gf_mul, gf_neg, gf_rem, gf_strip
+from sympy.polys.galoistools import gf_add, gf_irreducible_p, gf_mul, gf_neg, gf_rem, gf_strip, gf_sub
 
 from nordcodes.errors import DivisionByZero, FieldTooLarge, NotPrime
 from nordcodes.field import MAX_FIELD_SIZE, Field, make_field
@@ -31,9 +33,6 @@ def test_enumerate():
     assert make_field(2, 1).q == 2
     assert make_field(2, 2).q == 4
     assert make_field(3, 2).q == 9
-    for p, k in ((2, 1), (2, 2), (3, 2)):
-        F = make_field(p, k)
-        assert [F.from_coeffs(F.coeffs(i)) for i in range(F.q)] == list(range(F.q))
 
 
 def test_validation_errors():
@@ -89,13 +88,17 @@ def test_pow_matches_repeated_mul():
 
 
 # -- the tables against sympy's polynomial arithmetic over GF(p) -------------
-# galoistools lists coefficients high-to-low; Field.coeffs is low-to-high, so
-# the galoistools list of an element is its base-p digits read most
-# significant first, and Horner's rule over that list gives the index back.
+# The base-p digits of an index, little-endian, are its coefficients, and
+# galoistools lists coefficients high-to-low, so the galoistools list of an
+# element is its digits read most significant first, and Horner's rule over
+# that list gives the index back.
+
+# every accepted field over p <= 13; a larger p is accepted only at k = 1
+ACCEPTED = [(p, k) for p in (2, 3, 5, 7, 11, 13) for k in range(1, 9) if p**k <= MAX_FIELD_SIZE]
 
 
 def _gf_poly(F, a):
-    return gf_strip([ZZ(c) for c in reversed(F.coeffs(a))])
+    return gf_strip([ZZ(a // F.p**i % F.p) for i in reversed(range(F.k))])
 
 
 def _gf_index(F, poly):
@@ -105,23 +108,26 @@ def _gf_index(F, poly):
     return index
 
 
-@pytest.mark.parametrize("p,k", [
-    (p, k) for p in (2, 3, 5, 7, 11, 13) for k in range(2, 9) if p**k <= MAX_FIELD_SIZE
-])
+@pytest.mark.parametrize("p,k", ACCEPTED)
 def test_default_modulus_irreducible_by_sympy(p, k):
-    modulus = [ZZ(c) for c in reversed(make_field(p, k).modulus)]
-    assert gf_irreducible_p(modulus, p, ZZ)
+    """The modulus is the first monic irreducible of degree k, coefficients
+    compared low-to-high, as README and `make_field` promise."""
+    least = next(low + (1,) for low in itertools.product(range(p), repeat=k)
+                 if gf_irreducible_p([ZZ(c) for c in reversed(low + (1,))], p, ZZ))
+    assert make_field(p, k).modulus == least
 
 
-@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 8)])
+@pytest.mark.parametrize("p,k", ACCEPTED)
 def test_tables_match_sympy(p, k):
     F = make_field(p, k)
     modulus = [ZZ(c) for c in reversed(F.modulus)]
-    elems = range(F.q) if F.q <= 27 else sorted({*range(0, F.q, 9), F.q - 1})
+    # a fixed sample past q = 27, holding 0, 1, 2, 3, 100, 254 and 255 of GF(256)
+    elems = range(F.q) if F.q <= 27 else sorted({*range(0, F.q, 9), 1, 2, 3, 100 % F.q, F.q - 2, F.q - 1})
     for a in elems:
         pa = _gf_poly(F, a)
         assert F.neg(a) == _gf_index(F, gf_neg(pa, p, ZZ))
         for b in elems:
             pb = _gf_poly(F, b)
             assert F.add(a, b) == _gf_index(F, gf_add(pa, pb, p, ZZ))
+            assert F.sub(a, b) == _gf_index(F, gf_sub(pa, pb, p, ZZ))
             assert F.mul(a, b) == _gf_index(F, gf_rem(gf_mul(pa, pb, p, ZZ), modulus, p, ZZ))

@@ -5,7 +5,6 @@ code replaced; hypothesis compares the two on random matrices over small
 fields, and over GF(2^8), the largest field accepted.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from nordcodes import linalg
@@ -63,19 +62,6 @@ def matrices(draw, max_rows=7, max_cols=8):
     rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
                          min_size=nrows, max_size=nrows))
     return F, rows, ncols
-
-
-@pytest.mark.parametrize("p,k", FIELDS)
-def test_tables_match_digit_and_polynomial_arithmetic(p, k):
-    F = make_field(p, k)
-    elems = range(F.q) if F.q <= 25 else [0, 1, 2, 3, 100, 254, 255]
-    for a in elems:
-        assert F.add(a, F.neg(a)) == 0
-        assert F.neg(a) == F._digit_neg(a)
-        for b in elems:
-            assert F.add(a, b) == F._digit_add(a, b)
-            assert F.mul(a, b) == F._raw_mul(a, b)  # polynomial product mod the modulus
-            assert F.sub(a, b) == F._digit_add(a, F._digit_neg(b))
 
 
 @settings(max_examples=150, deadline=None)
