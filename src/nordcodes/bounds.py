@@ -35,11 +35,12 @@ def _require_m(profile: GoodBasisProfile, m: int):
 
 
 def capital_sigma(profile: GoodBasisProfile, s: int) -> int:
-    """Sigma(s) = max of sigma(f_0..f_s); nondecreasing in s."""
+    """Sigma(s) = max of sigma(f_0..f_s), nondecreasing in s: the value of
+    the last step (i, v) of `profile.sigma_steps` with i <= s."""
     if s < 0:
         return 0
-    prefix = profile.sigma_prefix
-    return prefix[min(s, len(prefix) - 1)]
+    steps = profile.sigma_steps
+    return steps[bisect_right(steps, s, key=lambda step: step[0]) - 1][1]
 
 
 class NSet(Value):
@@ -68,17 +69,18 @@ def _fail_thresholds(profile: GoodBasisProfile, m: int) -> list[int]:
     sigma(f_0) = 0 and Sigma(r + 1) <= lambda_sigma <= m, and so does the end
     i = r + 1 since Sigma(0) = 0.  Every nongap i qualifies as well, because
     sigma(f_i) = 0 there.  A gap i with sigma(f_i) = v fails once Sigma(r + 1
-    - i) > m - v, that is for r >= i + s_i - 1, with s_i the least s >= 1 such
-    that Sigma(s) > m - v (none when Sigma never exceeds m - v).  So
+    - i) > m - v, that is for r >= i + s_i - 1, with s_i the least s where
+    Sigma(s) > m - v: the key of the first step above m - v, if any.  So
 
         #N_r^m = (r + 2) - #{thresholds <= r}.
     """
-    prefix = profile.sigma_prefix
+    steps = profile.sigma_steps
+    values = [v for _, v in steps]  # strictly rising
     out = []
     for i, v in profile.entries:
-        s = bisect_right(prefix, m - v)  # Sigma is nondecreasing, Sigma(0) = 0 <= m - v
-        if s < len(prefix):
-            out.append(i + s - 1)
+        k = bisect_right(values, m - v)
+        if k < len(steps):
+            out.append(i + steps[k][0] - 1)
     out.sort()
     return out
 

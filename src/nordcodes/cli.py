@@ -37,8 +37,12 @@ def _parse_range(text: str) -> range:
 
 
 def _emit(args, text: str):
-    if getattr(args, "out", None) is not None:
-        with open(args.out, "w") as fh:
+    """text to the --csv or --out path, whichever is given, else stdout."""
+    path = getattr(args, "csv", None)
+    if path is None:
+        path = getattr(args, "out", None)
+    if path is not None:
+        with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -86,15 +90,9 @@ def _cmd_bound(args) -> int:
 
     prof = GoodBasisProfile.from_json(_read(args.profile))
     if args.table:
-        ell_range = args.ell_range or _parse_range(str(args.ell))
-        m_range = args.m_range or _parse_range(str(args.m))
-        rows = bounds.bound_table(prof, ell_range, m_range)
-        text = bounds.bound_table_csv(rows)
-        if args.csv is not None:
-            with open(args.csv, "w") as fh:
-                fh.write(text)
-        else:
-            _emit(args, text)
+        ell_range = args.ell_range or range(args.ell, args.ell + 1)
+        m_range = args.m_range or range(args.m, args.m + 1)
+        _emit(args, bounds.bound_table_csv(bounds.bound_table(prof, ell_range, m_range)))
         return 0
     dn = bounds.d_nord(prof, args.ell, args.m)
     dg = bounds.d_goppa(args.ell, args.m, prof.genus)

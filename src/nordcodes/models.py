@@ -43,8 +43,8 @@ All verdicts are exhaustive over a bounded, deterministically enumerated
 sample; nothing is probabilistic.  The sample comes straight from the n
 basis keys: every choice of at most R keys with nonzero coefficients,
 through `_from_terms`, sorted by `_order_key`, with R = n (the full span)
-when q^n <= 4096 and R = 2 otherwise.  `sample_size` gives its size in
-closed form, the sum over r <= R of C(n, r) (q-1)^r, and every checker
+when q^n <= `_SAMPLE_CAP` and R = 2 otherwise.  `sample_size` gives its size
+in closed form, the sum over r <= R of C(n, r) (q-1)^r, and every checker
 refuses a sample above `_SAMPLE_CAP` with SampleTooLarge before building it.
 Nothing here forms a sum, multiple or product of elements; the tests'
 sparse reference does, as the oracle of the rows and of the sample.
@@ -69,15 +69,14 @@ from .field import Field
 
 NEG_INF = float("-inf")
 
-_FULL_ENUM_LIMIT = 4096
 _SAMPLE_CAP = 2000
 
 
 def _span_rank(q: int, n: int) -> int:
     """The most basis keys an element of the sample is drawn on: all n when
-    the full span has q^n <= _FULL_ENUM_LIMIT elements (q >= 2, so no
-    longer basis qualifies), else 2."""
-    return n if n < _FULL_ENUM_LIMIT.bit_length() and q**n <= _FULL_ENUM_LIMIT else 2
+    the full span has q^n <= _SAMPLE_CAP elements (q >= 2, so no longer n
+    does), else 2: the sample grows with n, so answered bounds form a prefix."""
+    return n if n < _SAMPLE_CAP.bit_length() and q**n <= _SAMPLE_CAP else 2
 
 
 def _bounded_sample(model, bound: int) -> list:

@@ -184,11 +184,11 @@ class TwoPointSemigroup(Value):
                 f"the closure check would walk {cells} cells below the gap pairs, "
                 f"above the cap {MAX_CLOSURE_CELLS}"
             )
+        # x fails exactly when g - x does, so the lexicographically first failing
+        # x has x <= g - x; x = (0, 0) and x = g never fail: g is a gap, (0, 0) not.
         for ga, gb in self.gapset:
-            for xa in range(ga + 1):
-                for xb in range(gb + 1):
-                    if (xa, xb) == (0, 0) or (xa, xb) == (ga, gb):
-                        continue
+            for xa in range(ga // 2 + 1):
+                for xb in range(gb + 1 if 2 * xa < ga else gb // 2 + 1):
                     if (xa, xb) not in self.gapset and (ga - xa, gb - xb) not in self.gapset:
                         raise ClosureViolation((xa, xb), (ga - xa, gb - xb), (ga, gb))
 
@@ -242,21 +242,23 @@ class GoodBasisProfile(Value):
     """The map i -> sigma(f_i), stored sparsely on its nonzero entries.
 
     Keys are the gaps of H(rho), values the gaps of H(sigma), bijectively;
-    the genus is the common number of gaps.
+    the genus is the common number of gaps.  `sigma_steps` holds Sigma(s) =
+    max sigma(f_0..f_s) as its steps: (0, 0), then each (i, sigma(f_i)), in
+    key order over i >= 0, above every earlier value (at most genus + 1).
+    Sigma(s) is the value of the last step with i <= s, and the last step is
+    (s_index, lambda_sigma).
     """
 
     _fields = ("genus", "entries")  # int; sorted (i, sigma(f_i)) pairs
 
     def __post_init__(self):
+        _require_size(self.lambda_rho)
         object.__setattr__(self, "_map", dict(self.entries))
-        # Sigma(s) = max sigma(f_0..f_s) for s = 0..lambda_rho; lambda_sigma beyond
-        top = max(self.lambda_rho, 0)
-        _require_size(top)
-        prefix, run = [], 0
-        for s in range(top + 1):
-            run = max(run, self._map.get(s, 0))
-            prefix.append(run)
-        object.__setattr__(self, "sigma_prefix", tuple(prefix))
+        steps = [(0, 0)]
+        for i, v in sorted(self._map.items()):
+            if i >= 0 and v > steps[-1][1]:
+                steps.append((i, v))
+        object.__setattr__(self, "sigma_steps", tuple(steps))
 
     @classmethod
     def from_entries(cls, entries: dict[int, int]) -> "GoodBasisProfile":
@@ -272,7 +274,7 @@ class GoodBasisProfile(Value):
 
     @property
     def lambda_sigma(self) -> int:
-        return self.sigma_prefix[-1]
+        return self.sigma_steps[-1][1]
 
     @property
     def lambda_rho(self) -> int:
@@ -281,8 +283,7 @@ class GoodBasisProfile(Value):
     @property
     def s_index(self) -> int:
         """Smallest index attaining lambda_sigma (0 for the empty profile)."""
-        lam = self.lambda_sigma
-        return min((i for i, v in self.entries if v == lam), default=0)
+        return self.sigma_steps[-1][0]
 
     @property
     def rho_gaps(self) -> frozenset[int]:

@@ -245,6 +245,12 @@ def test_axioms_sample_too_large(capsys, argv):
     assert code == 1 and out == "" and err.startswith("error SampleTooLarge:")
 
 
+def test_axioms_two_key_sample_below_the_cap(capsys):
+    # the full span has 4096 elements, above the cap: the two-key sample has 154
+    code, out, err = run(capsys, "axioms", "--model", "curve-rho", "--q", "2", "--bound", "3")
+    assert code == 0 and err == "" and json.loads(out)["sample_size"] == 154
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "nonsense")[0] == 2
     assert run(capsys, "bound", "--profile", "x.json")[0] == 2  # missing --ell/--m

@@ -607,7 +607,7 @@ def test_scalar_classes_give_the_report_of_every_index(case):
 
 
 @pytest.mark.parametrize("model,bounds", [
-    (models.ConstantModel(F2, 1), range(0, 14)),  # full span up to 2^12
+    (models.ConstantModel(F2, 1), range(0, 14)),  # full span up to 2^10
     (models.LaurentModel(make_field(3, 1)), range(0, 5)),
     (models.LaurentModel(make_field(3, 2)), range(0, 4)),
     (models.IdealModel(F4, [0, 0, 1]), range(0, 5)),
@@ -621,13 +621,13 @@ def test_sample_size_is_the_closed_form(model, bounds):
 
 
 @pytest.mark.parametrize("model,bounds", [
-    (models.ConstantModel(F2, 1), range(0, 14)),  # two-monomial from 13 basis keys
+    (models.ConstantModel(F2, 1), range(0, 14)),  # two-monomial from 11 basis keys
     (models.ConstantModel(make_field(5, 1), 0), range(0, 7)),
     (models.LaurentModel(F3), range(0, 5)),
     (models.LaurentModel(F4), range(0, 4)),
     (models.IdealModel(F2, [0, 0, 1]), range(0, 13)),
-    (models.IdealModel(F4, [1, 1, 1]), range(0, 8)),  # two-monomial from bound 6
-    (models.IdealModel(F3, [2, 1, 0, 1]), range(0, 10)),  # two-monomial from bound 8
+    (models.IdealModel(F4, [1, 1, 1]), range(0, 8)),  # two-monomial from bound 5
+    (models.IdealModel(F3, [2, 1, 0, 1]), range(0, 10)),  # two-monomial from bound 6
     (models.CurveValuationModel(HermitianCurve(2), "rho"), range(-1, 6)),
     (models.CurveValuationModel(HermitianCurve(3), "sigma"), range(0, 4)),
     (filtration.normalize(DoubledWeight(F2), 3), range(0, 6)),
@@ -638,6 +638,54 @@ def test_elements_are_the_arithmetic_sample(model, bounds):
     by sums of multiples of the basis monomials, in the same order."""
     for bound in bounds:
         assert model.elements(bound) == sref.elements(model, bound)
+
+
+PREFIX_MODELS = [
+    cls(F, *args)
+    for F in (F2, F3, F4, make_field(5, 1))
+    for cls, args in ((models.ConstantModel, (0,)), (models.IdealModel, ([0, 0, 1],)),
+                      (models.LaurentModel, ()))
+] + [models.CurveValuationModel(HermitianCurve(q), w) for q in (2, 3) for w in ("rho", "sigma")]
+
+
+@pytest.mark.parametrize("model", PREFIX_MODELS,
+                         ids=[f"{m.name}-q{m.field.q}" for m in PREFIX_MODELS])
+def test_answered_bounds_form_a_prefix(model):
+    """A bound within the sample cap has every smaller bound within it."""
+    answered = [model.sample_size(b) <= models._SAMPLE_CAP for b in range(100)]
+    assert answered[0] and not answered[-1]
+    assert answered == sorted(answered, reverse=True)
+
+
+class SparseIdeal(sref.Sparse, models.IdealModel):
+    """The ideal model with rho read from divisibility by g, on sparse rows."""
+
+    def rho(self, f):
+        return sref.ideal_rho(self, f)
+
+
+# bounds whose full span has 2000 < q^n <= 4096 elements: the two-key sample
+BAND_CASES = [
+    *[(cls, (F, *args), b)
+      for cls, args in ((models.ConstantModel, (0,)), (models.IdealModel, ([0, 0, 1],)))
+      for F, bounds in ((F2, (10, 11)), (F3, (6,)), (F4, (5,)), (make_field(5, 1), (4,)))
+      for b in bounds],
+    (models.LaurentModel, (F2,), 5),
+    (models.LaurentModel, (F3,), 3),
+    (models.LaurentModel, (make_field(5, 1),), 2),
+    (models.CurveValuationModel, (HermitianCurve(2), "rho"), 3),
+    (models.CurveValuationModel, (HermitianCurve(2), "sigma"), 3),
+]
+
+
+@pytest.mark.parametrize("cls,args,bound", BAND_CASES,
+                         ids=[f"{c.__name__}-{i}" for i, (c, _, _) in enumerate(BAND_CASES)])
+def test_band_report_equals_the_sparse_rows(cls, args, bound):
+    fast = cls(*args)
+    slow = (SparseIdeal if cls is models.IdealModel else sref.sparse(cls))(*args)
+    assert 2000 < fast.field.q ** fast.basis_count(bound) <= 4096
+    assert fast.sample_size(bound) <= models._SAMPLE_CAP
+    assert models.axiom_check(fast, bound).dumps() == models.axiom_check(slow, bound).dumps()
 
 
 class NoBuild(models.ConstantModel):

@@ -1,3 +1,4 @@
+import time
 from functools import reduce
 from math import gcd
 
@@ -157,6 +158,50 @@ def test_tps_examples():
         TwoPointSemigroup(frozenset({(0, 0)}))
 
 
+def full_walk_witness(gapset):
+    """The first failing decomposition of the walk over every cell of the box
+    below each gap, in the set's own order: the reference for the half walk
+    of `TwoPointSemigroup`."""
+    for ga, gb in gapset:
+        for xa in range(ga + 1):
+            for xb in range(gb + 1):
+                if (xa, xb) == (0, 0) or (xa, xb) == (ga, gb):
+                    continue
+                if (xa, xb) not in gapset and (ga - xa, gb - xb) not in gapset:
+                    return (xa, xb), (ga - xa, gb - xb), (ga, gb)
+    return None
+
+
+@st.composite
+def perturbed_hermitian_gapsets(draw):
+    """Hermitian two-point gap sets (q = 2..4) with a pair dropped or added,
+    or neither."""
+    from nordcodes.hermitian import HermitianCurve
+
+    gaps = set(HermitianCurve(draw(st.integers(2, 4))).two_point_semigroup().gapset)
+    box = max(max(p) for p in gaps) + 1
+    drop = draw(st.sampled_from([None, *sorted(gaps)]))
+    add = draw(st.tuples(st.integers(0, box), st.integers(0, box)))
+    return frozenset(gaps - {drop} | ({add} - {(0, 0)}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.frozensets(st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(any), max_size=12),
+    perturbed_hermitian_gapsets(),
+))
+@example(frozenset({(2, 0)}))
+@example(frozenset({(2, 2), (1, 1), (0, 1), (1, 0)}))
+def test_closure_witness_matches_the_full_walk(gapset):
+    expected = full_walk_witness(gapset)
+    try:
+        TwoPointSemigroup(gapset)
+    except ClosureViolation as exc:
+        assert exc.witness == expected
+    else:
+        assert expected is None
+
+
 def test_tps_contains():
     T = TwoPointSemigroup(frozenset(HERMITIAN_Q2_GAPSET))
     assert (0, 0) in T
@@ -224,6 +269,14 @@ def test_gap_bijection_report():
     assert not rep["ok"] and any("repeated" in v for v in rep["violations"])
     with pytest.raises(ProfileBijectionViolation):
         GoodBasisProfile.from_entries({1: 1, 2: 1})
+
+
+def test_malformed_profile_refused_at_once():
+    # the refusal reads the entries alone: nothing is built up to the key 10**6
+    start = time.perf_counter()
+    with pytest.raises(ProfileBijectionViolation):
+        GoodBasisProfile.from_entries({10**6: 1, 5: 1})
+    assert time.perf_counter() - start < 0.05
 
 
 def test_profile_json_roundtrip():

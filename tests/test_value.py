@@ -77,8 +77,8 @@ def test_profile_equality_ignores_derived_attributes():
     prof = hyperelliptic_profile(3)
     again = GoodBasisProfile(genus=3, entries=((1, 1), (2, 2), (3, 3)))
     assert prof == again and hash(prof) == hash(again)
-    assert prof.sigma_prefix == (0, 1, 2, 3) and prof.sigma(2) == 2
-    object.__setattr__(again, "sigma_prefix", ())
+    assert prof.sigma_steps == ((0, 0), (1, 1), (2, 2), (3, 3)) and prof.sigma(2) == 2
+    object.__setattr__(again, "sigma_steps", ())
     assert prof == again and hash(prof) == hash(again)
 
 
