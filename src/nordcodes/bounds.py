@@ -15,23 +15,13 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-from .errors import HypothesisNotMet, MBelowLambda, NegativeEll, TableTooLarge
+from .errors import HypothesisNotMet, TableTooLarge, require_ell, require_m
 from .semigroup import GoodBasisProfile
 from .value import Value
 
 CSV_HEADER = ["ell", "m", "n_set_size", "d_nord", "d_goppa", "delta"]
 
 _TABLE_CAP = 1 << 20  # rows, and N-set counts, of one bound table
-
-
-def _require_ell(ell: int):
-    if ell < 0:
-        raise NegativeEll(f"ell = {ell} < 0")
-
-
-def _require_m(profile: GoodBasisProfile, m: int):
-    if m < profile.lambda_sigma:
-        raise MBelowLambda(f"m = {m} < lambda_sigma = {profile.lambda_sigma}")
 
 
 def capital_sigma(profile: GoodBasisProfile, s: int) -> int:
@@ -52,8 +42,8 @@ class NSet(Value):
 
 def n_set(profile: GoodBasisProfile, r: int, m: int) -> NSet:
     """Pairs (i, j) with i + j = r + 1 and sigma(f_i) + Sigma(j) <= m."""
-    _require_ell(r)
-    _require_m(profile, m)
+    require_ell(r)
+    require_m(m, profile.lambda_sigma)
     pairs = tuple(
         (i, r + 1 - i)
         for i in range(r + 2)
@@ -87,8 +77,8 @@ def _fail_thresholds(profile: GoodBasisProfile, m: int) -> list[int]:
 
 def n_set_size(profile: GoodBasisProfile, r: int, m: int) -> int:
     """#N_r^m in O(genus log genus), from the failure thresholds."""
-    _require_ell(r)
-    _require_m(profile, m)
+    require_ell(r)
+    require_m(m, profile.lambda_sigma)
     return r + 2 - bisect_right(_fail_thresholds(profile, m), r)
 
 
@@ -99,8 +89,8 @@ def _n_set_sizes(thresholds: list[int], lo: int, hi: int) -> list[int]:
 
 def d_nord(profile: GoodBasisProfile, ell: int, m: int) -> int:
     """min #N_r^m over r >= ell; the window r in [ell, ell+genus] suffices."""
-    _require_ell(ell)
-    _require_m(profile, m)
+    require_ell(ell)
+    require_m(m, profile.lambda_sigma)
     return min(_n_set_sizes(_fail_thresholds(profile, m), ell, ell + profile.genus))
 
 
@@ -116,7 +106,7 @@ def lemma62_diagnostic(profile: GoodBasisProfile, ell: int, m: int) -> dict:
     Reports AGREE or DISAGREE; never asserts either side as ground truth.
     Requires lambda_sigma <= m < 2*lambda_sigma and ell >= lambda_rho + s - 1.
     """
-    _require_ell(ell)
+    require_ell(ell)
     lam = profile.lambda_sigma
     if not (lam <= m < 2 * lam):
         raise HypothesisNotMet(f"need lambda_sigma <= m < 2*lambda_sigma, got m={m}, lambda_sigma={lam}")
@@ -168,11 +158,11 @@ def bound_table(profile: GoodBasisProfile, ell_range, m_range) -> list[tuple]:
         raise TableTooLarge(f"table needs {n_counts} N-set counts (> {_TABLE_CAP})")
     ells, ms = list(ell_range), list(m_range)
     # raise what the first failing cell in ell-major order would raise
-    _require_ell(ells[0])
+    require_ell(ells[0])
     for m in ms:
-        _require_m(profile, m)
+        require_m(m, profile.lambda_sigma)
     for ell in ells:
-        _require_ell(ell)
+        require_ell(ell)
     genus = profile.genus
     lo = min(ells)
     counts = {m: _n_set_sizes(_fail_thresholds(profile, m), lo, max(ells) + genus) for m in ms}

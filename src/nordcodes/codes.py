@@ -14,8 +14,7 @@ so both codes come from one elimination of one evaluation matrix.
 Every row and syndrome is read off the curve's monomial images
 (`HermitianCurve.image`): S(y) dots the word once per distinct key sum.
 `saturation_index` is counted from one least pole order, in O(q).  The
-verifiers read the curve's own profile; the builds take lambda_sigma =
-2*genus - 1 and build none.
+verifiers read the curve's profile; the builds read only its lambda_sigma.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import json
 from functools import cached_property
 
 from . import linalg
-from .errors import MBelowLambda, NegativeEll, SearchTooLarge, WordNotInLayer
+from .errors import SearchTooLarge, WordNotInLayer, require_ell, require_m
 from .field import Field
 from .hermitian import HermitianCurve
 from .value import Value
@@ -110,19 +109,6 @@ def evaluation_points(curve: HermitianCurve) -> list[tuple[int, int]]:
     return list(curve.points[1:])  # curve.points lists (0, 0) first
 
 
-def _check_m(curve: HermitianCurve, m: int):
-    # lambda_sigma is the largest gap of H(Q2) = <q, q+1>: q^2 - q - 1 = 2*genus - 1
-    lam = 2 * curve.genus - 1
-    if m < lam:
-        raise MBelowLambda(f"m = {m} < lambda_sigma = {lam}")
-
-
-def _check_cell(curve: HermitianCurve, ell: int, m: int):
-    _check_m(curve, m)
-    if ell < 0:
-        raise NegativeEll(f"ell = {ell} < 0")
-
-
 def evaluation_matrix(curve: HermitianCurve, ell: int, m: int) -> list[list[int]]:
     return [list(curve.image(key)) for key in curve.riemann_roch_basis(ell, m)]
 
@@ -138,16 +124,16 @@ def dimension(curve: HermitianCurve, ell: int, m: int) -> int:
 def _evaluation_code(curve: HermitianCurve, ell: int, m: int) -> LinearCode:
     """E_ell^m for any ell and m, row-reduced; the identity, with nothing
     listed, once `dimension` says it is the full space F^n."""
-    n = len(curve.points) - 1
-    if dimension(curve, ell, m) == n:
-        identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-        return LinearCode(curve.field, n, identity)
-    return LinearCode.from_rows(evaluation_matrix(curve, ell, m), curve.field, n)
+    if dimension(curve, ell, m) == curve.n:
+        identity = tuple(tuple(int(i == j) for j in range(curve.n)) for i in range(curve.n))
+        return LinearCode(curve.field, curve.n, identity)
+    return LinearCode.from_rows(evaluation_matrix(curve, ell, m), curve.field, curve.n)
 
 
 def build_E(curve: HermitianCurve, ell: int, m: int) -> LinearCode:
     """E_ell^m for ell >= 0 and m >= lambda_sigma."""
-    _check_cell(curve, ell, m)
+    require_m(m, curve.lambda_sigma)
+    require_ell(ell)
     return _evaluation_code(curve, ell, m)
 
 
@@ -158,9 +144,9 @@ def build_C(curve: HermitianCurve, ell: int, m: int) -> LinearCode:
     for G = ell Q1 + m Q2, and res_P eta = -1 at every P in D, so
     C_ell^m = E_{n+2g-1-ell}^{-m-1} exactly (Stichtenoth, Algebraic Function
     Fields and Codes, 2nd ed., 2.2 and 8.3)."""
-    _check_cell(curve, ell, m)
-    n = len(curve.points) - 1
-    return _evaluation_code(curve, n + 2 * curve.genus - 1 - ell, -m - 1)
+    require_m(m, curve.lambda_sigma)
+    require_ell(ell)
+    return _evaluation_code(curve, curve.n + 2 * curve.genus - 1 - ell, -m - 1)
 
 
 def saturation_index(curve: HermitianCurve, m: int) -> int:
@@ -169,10 +155,10 @@ def saturation_index(curve: HermitianCurve, m: int) -> int:
     dual divisor of `build_C`, which is 0 exactly when n + 2g - 1 - L < mu:
     mu is the least pole order at Q1 of a monomial x^a y^b with a zero of
     order >= m + 1 at Q2, b = ceil((m + 1 - a) / (q + 1))."""
-    _check_m(curve, m)
-    q, n = curve.q, len(curve.points) - 1
+    require_m(m, curve.lambda_sigma)
+    q = curve.q
     mu = min(a * q - (q + 1) * ((a - m - 1) // (q + 1)) for a in range(q + 1))
-    return max(0, n + 2 * curve.genus - mu)
+    return max(0, curve.n + 2 * curve.genus - mu)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +202,7 @@ def verify_prop63(curve: HermitianCurve, ell: int, m: int, word) -> dict:
     C_ell^m minus C_{ell+1}^m, and the rank bound rank S(y) >= #N_ell^m."""
     from . import bounds
 
-    _check_m(curve, m)
+    require_m(m, curve.lambda_sigma)
     in_l, in_l1 = layer_membership(curve, ell, m, word)
     if not in_l or in_l1:
         raise WordNotInLayer(f"word not in C_{ell}^{m} \\ C_{ell + 1}^{m}")

@@ -1,7 +1,9 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, and the boundary checks.
 
 Every mathematically meaningful failure gets its own class so the CLI can
 report the error name and exit with status 1 (vs. 2 for usage errors).
+The `require_*` checks are the one place where ell >= 0, m >= lambda_sigma
+(for d_nord and the codes) and a sample bound >= 0 (for the models) are checked.
 """
 
 
@@ -11,6 +13,21 @@ class NordError(Exception):
     @property
     def name(self) -> str:
         return type(self).__name__
+
+
+def require_ell(ell: int):
+    if ell < 0:
+        raise NegativeEll(f"ell = {ell} < 0")
+
+
+def require_m(m: int, lam: int):
+    if m < lam:
+        raise MBelowLambda(f"m = {m} < lambda_sigma = {lam}")
+
+
+def require_bound(bound: int):
+    if bound < 0:
+        raise NegativeBound(f"bound = {bound} < 0")
 
 
 # field
@@ -57,7 +74,7 @@ class MalformedSemigroup(NordError):
     pass
 
 
-# bounds (the first two also in codes)
+# bounds and codes
 class MBelowLambda(NordError):
     pass
 
@@ -88,6 +105,10 @@ class TrivialModel(NordError):
 
 
 class SampleTooLarge(NordError):
+    pass
+
+
+class NegativeBound(NordError):
     pass
 
 

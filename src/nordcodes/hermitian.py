@@ -30,6 +30,9 @@ class HermitianCurve:
         p, e = _SUPPORTED_Q[q]
         self.q = q
         self.genus = q * (q - 1) // 2
+        # the largest gap of H(Q2) = <q, q+1>: q^2 - q - 1 = 2*genus - 1
+        self.lambda_sigma = 2 * self.genus - 1
+        self.n = q**3 - 1  # the code length: every affine point but Q2
         self.field: Field = make_field(p, 2 * e)
         self.points = self._enumerate_points()
         assert len(self.points) == q**3
@@ -37,15 +40,13 @@ class HermitianCurve:
         self._images: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def _enumerate_points(self):
-        """Affine points as field indices, lexicographic; Q2 = (0, 0) first."""
+        """Affine points as field indices, lexicographic; Q2 = (0, 0) first.
+        Each x reads the y filed under the trace y^q + y = x^(q+1): O(q^2)."""
         F, q = self.field, self.q
-        pts = []
-        for x in range(F.q):
-            rhs = F.pow(x, q + 1)
-            for y in range(F.q):
-                if F.add(F.pow(y, q), y) == rhs:
-                    pts.append((x, y))
-        return pts
+        by_trace: dict[int, list[int]] = {}
+        for y in range(F.q):
+            by_trace.setdefault(F.add(F.pow(y, q), y), []).append(y)
+        return [(x, y) for x in range(F.q) for y in by_trace.get(F.pow(x, q + 1), ())]
 
     # -- monomials -------------------------------------------------------
 

@@ -44,8 +44,8 @@ sample; nothing is probabilistic.  The sample comes straight from the n
 basis keys: every choice of at most R keys with nonzero coefficients,
 through `_from_terms`, sorted by `_order_key`, with R = n (the full span)
 when q^n <= `_SAMPLE_CAP` and R = 2 otherwise.  `sample_size` gives its size
-in closed form, the sum over r <= R of C(n, r) (q-1)^r, and every checker
-refuses a sample above `_SAMPLE_CAP` with SampleTooLarge before building it.
+in closed form, the sum over r <= R of C(n, r) (q-1)^r.  Every checker
+refuses a negative bound and a sample above `_SAMPLE_CAP` before building it.
 Nothing here forms a sum, multiple or product of elements; the tests'
 sparse reference does, as the oracle of the rows and of the sample.
 
@@ -64,7 +64,7 @@ from itertools import combinations, product, repeat
 from math import comb
 from operator import and_, gt, ne
 
-from .errors import CoefficientOutOfRange, GIsConstant, SampleTooLarge
+from .errors import CoefficientOutOfRange, GIsConstant, SampleTooLarge, require_bound
 from .field import Field
 
 NEG_INF = float("-inf")
@@ -80,8 +80,9 @@ def _span_rank(q: int, n: int) -> int:
 
 
 def _bounded_sample(model, bound: int) -> list:
-    """model.elements(bound), refused before it is built when it would
-    exceed _SAMPLE_CAP."""
+    """model.elements(bound), refused before it is built when the bound is
+    negative or the sample would exceed _SAMPLE_CAP."""
+    require_bound(bound)
     size = model.sample_size(bound)
     if size > _SAMPLE_CAP:
         raise SampleTooLarge(f"sample has {size} elements (> {_SAMPLE_CAP})")

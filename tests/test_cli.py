@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import signal
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import nordcodes
 from nordcodes.cli import main
 from nordcodes.semigroup import (
     GoodBasisProfile,
@@ -197,6 +199,30 @@ def test_axioms_laurent(capsys):
 def test_negative_ell(hyper2_profile, capsys):
     code, out, err = run(capsys, "bound", "--profile", hyper2_profile, "--ell", "-5", "--m", "3")
     assert code == 1 and out == "" and err.startswith("error NegativeEll:")
+
+
+@pytest.mark.parametrize("model", ["constant", "ideal", "laurent", "curve-rho", "curve-sigma"])
+def test_axioms_negative_bound(capsys, model):
+    # it used to sample zero alone and report a spurious order_classification FAIL
+    got = run(capsys, "axioms", "--model", model, "--bound", "-1")
+    assert got == (1, "", "error NegativeBound: bound = -1 < 0\n")
+
+
+@pytest.mark.parametrize("argv,err", [
+    (("code", "build", "--q", "2", "--ell", "-1", "--m", "0"),
+     "error MBelowLambda: m = 0 < lambda_sigma = 1\n"),
+    (("code", "distance", "--q", "3", "--ell", "-2", "--m", "1"),
+     "error MBelowLambda: m = 1 < lambda_sigma = 5\n"),
+    (("bound", "--profile", "{profile}", "--ell", "-1", "--m", "0"),
+     "error NegativeEll: ell = -1 < 0\n"),
+], ids=["code build", "code distance", "bound"])
+def test_doubly_invalid_cells_keep_their_check_order(tmp_path, capsys, argv, err):
+    """A cell with ell < 0 and m < lambda_sigma: `code` checks m first,
+    `bound` checks ell first."""
+    profile = tmp_path / "q2.json"
+    assert main(["profile", "--curve-q", "2", "--out", str(profile)]) == 0
+    argv = [a.format(profile=profile) for a in argv]
+    assert run(capsys, *argv) == (1, "", err)
 
 
 def test_semigroup_too_large(capsys):
@@ -601,6 +627,30 @@ def test_package_exports_resolve_lazily():
     proc = subprocess.run([sys.executable, "-c", script], env=_child_env(),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def _guarded_raises(node) -> list[str]:
+    """Each NegativeEll, MBelowLambda or NegativeBound that a `raise`
+    statement under node raises, by name."""
+    names = []
+    for n in ast.walk(node):
+        if isinstance(n, ast.Raise) and n.exc is not None:
+            exc = n.exc.func if isinstance(n.exc, ast.Call) else n.exc
+            names.append(getattr(exc, "id", getattr(exc, "attr", None)))
+    return [name for name in names if name in {"NegativeEll", "MBelowLambda", "NegativeBound"}]
+
+
+def test_boundary_errors_are_raised_only_by_the_checks():
+    """Each boundary error is raised once, in its `require_*` check in
+    `errors`, so no layer keeps a copy of the check."""
+    src = Path(nordcodes.__file__).parent
+    raised = {path.name: names for path in sorted(src.glob("*.py"))
+              if (names := _guarded_raises(ast.parse(path.read_text())))}
+    assert list(raised) == ["errors.py"] and len(raised["errors.py"]) == 3
+    checks = {f.name: _guarded_raises(f) for f in ast.parse((src / "errors.py").read_text()).body
+              if isinstance(f, ast.FunctionDef)}
+    assert checks == {"require_ell": ["NegativeEll"], "require_m": ["MBelowLambda"],
+                      "require_bound": ["NegativeBound"]}
 
 
 @pytest.mark.parametrize("argv,expected", [

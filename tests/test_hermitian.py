@@ -34,6 +34,27 @@ def test_points_satisfy_equation(c3):
         assert F.add(F.pow(y, q), y) == F.pow(x, q + 1)
 
 
+def _points_by_scan(curve):
+    """Every (x, y) in GF(q^2)^2 with y^q + y = x^(q+1), lexicographic."""
+    F, q = curve.field, curve.q
+    return [(x, y) for x in range(F.q) for y in range(F.q)
+            if F.add(F.pow(y, q), y) == F.pow(x, q + 1)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_points_match_the_full_scan(q):
+    curve = HermitianCurve(q)
+    assert curve.points == _points_by_scan(curve)
+    assert curve.points[0] == (0, 0)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_curve_constants(q):
+    curve = HermitianCurve(q)
+    assert curve.lambda_sigma == curve.profile_closed_form().lambda_sigma
+    assert curve.n == len(curve.points) - 1 == q**3 - 1
+
+
 def test_valuations_examples(c2):
     v = ref.monomial(c2, 1, 0).valuations()  # x
     assert (v.v_inf, v.v_zero) == (-2, 1) and (v.rho, v.sigma) == (2, 0)

@@ -10,6 +10,7 @@ from nordcodes.errors import (
     CoefficientOutOfRange,
     EmptyLevel,
     GIsConstant,
+    NegativeBound,
     NegativeRho,
     NordError,
     SampleTooLarge,
@@ -604,6 +605,21 @@ def test_scalar_classes_give_the_report_of_every_index(case):
 
 
 # -- bounded samples --------------------------------------------------------
+
+
+CLI_MODELS = [models.ConstantModel(F2, 1), models.IdealModel(F2, [0, 0, 1]),
+              models.LaurentModel(F2)] + [
+    models.CurveValuationModel(HermitianCurve(2), w) for w in ("rho", "sigma")]
+
+
+@pytest.mark.parametrize("check", [models.axiom_check, filtration.normalize,
+                                   filtration.filtration_check], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("model", CLI_MODELS, ids=[m.name for m in CLI_MODELS])
+def test_negative_bound_is_refused(model, check):
+    """Every checker refuses a negative bound before the sample is built
+    (the filtration checks used to end in TrivialModel on the sample {0})."""
+    with pytest.raises(NegativeBound, match=r"^bound = -1 < 0$"):
+        check(model, -1)
 
 
 @pytest.mark.parametrize("model,bounds", [
