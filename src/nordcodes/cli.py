@@ -191,12 +191,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", required=True)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--table", action="store_true")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--table", action="store_true")
+    mode.add_argument("--diagnose", action="store_true")
     p.add_argument("--ell-range", type=_parse_range)
     p.add_argument("--m-range", type=_parse_range)
     dest = p.add_mutually_exclusive_group()
     dest.add_argument("--csv", help="write the table to this CSV file")
-    p.add_argument("--diagnose", action="store_true")
     dest.add_argument("--out")
     p.set_defaults(func=_cmd_bound, parser=p)
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from functools import cached_property
 
 from . import linalg
 from .errors import SearchTooLarge, WordNotInLayer, require_ell, require_m
@@ -56,21 +55,20 @@ def _span(field: Field, rows, start):
 
 
 class LinearCode(Value):
-    _fields = ("field", "n", "generator")  # generator: row-reduced, independent rows
+    """The row space of `generator`, stored as its RREF, so two codes are
+    equal exactly when they span the same space; `pivots` holds the pivot
+    column of each row."""
+
+    _fields = ("field", "n", "generator")
+
+    def __post_init__(self):
+        reduced, pivots = linalg.rref(self.generator, self.field)
+        object.__setattr__(self, "generator", tuple(map(tuple, reduced)))
+        object.__setattr__(self, "pivots", tuple(pivots))
 
     @property
     def k(self) -> int:
         return len(self.generator)
-
-    @classmethod
-    def from_rows(cls, rows, field: Field, n: int) -> "LinearCode":
-        reduced, _ = linalg.rref(rows, field)
-        return cls(field, n, tuple(tuple(r) for r in reduced))
-
-    @cached_property
-    def pivots(self) -> tuple[int, ...]:
-        """Pivot column of each generator row."""
-        return tuple(next(c for c, v in enumerate(row) if v) for row in self.generator)
 
     def contains(self, word) -> bool:
         return not any(linalg.reduce(word, self.generator, self.pivots, self.field))
@@ -122,12 +120,13 @@ def dimension(curve: HermitianCurve, ell: int, m: int) -> int:
 
 
 def _evaluation_code(curve: HermitianCurve, ell: int, m: int) -> LinearCode:
-    """E_ell^m for any ell and m, row-reduced; the identity, with nothing
-    listed, once `dimension` says it is the full space F^n."""
+    """E_ell^m for any ell and m; the identity, with nothing listed, once
+    `dimension` says it is the full space F^n."""
     if dimension(curve, ell, m) == curve.n:
-        identity = tuple(tuple(int(i == j) for j in range(curve.n)) for i in range(curve.n))
-        return LinearCode(curve.field, curve.n, identity)
-    return LinearCode.from_rows(evaluation_matrix(curve, ell, m), curve.field, curve.n)
+        rows = [[int(i == j) for j in range(curve.n)] for i in range(curve.n)]
+    else:
+        rows = evaluation_matrix(curve, ell, m)
+    return LinearCode(curve.field, curve.n, rows)
 
 
 def build_E(curve: HermitianCurve, ell: int, m: int) -> LinearCode:
@@ -166,7 +165,7 @@ def saturation_index(curve: HermitianCurve, m: int) -> int:
 
 
 class SyndromeMatrix(Value):
-    _fields = ("entries", "word")  # entries: (L+1) x (L+1) field indices
+    _fields = ("entries",)  # (L+1) x (L+1) field indices
 
     def rank(self, field: Field) -> int:
         return linalg.rank([list(r) for r in self.entries], field)
@@ -181,7 +180,7 @@ def syndrome_matrix(curve: HermitianCurve, m: int, word, L: int) -> SyndromeMatr
     sums = [[(a1 + a2, b1 + b2) for a2, b2 in keys] for a1, b1 in keys]
     dots = {key: F.dot(curve.image(key), word) for key in set(itertools.chain(*sums))}
     entries = tuple(tuple(dots[key] for key in row) for row in sums)
-    return SyndromeMatrix(entries, tuple(word))
+    return SyndromeMatrix(entries)
 
 
 def layer_membership(curve: HermitianCurve, ell: int, m: int, word) -> tuple[bool, bool]:

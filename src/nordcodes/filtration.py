@@ -20,9 +20,9 @@ def _checked_rows(model: NWeightModel, bound: int):
     rows = model.rows(sample)
     rho1 = model.rho(model.one())
     for f, r in zip(sample, rows.rhos):
-        if r < 0 and not model.is_zero(f):
+        if r < 0 and f:
             raise NegativeRho(f"rho({model.show(f)}) = {r} < 0")
-    if not any(r > rho1 and not model.is_zero(f) for f, r in zip(sample, rows.rhos)):
+    if not any(r > rho1 and f for f, r in zip(sample, rows.rhos)):
         raise TrivialModel("no non-unit elements in the sample")
     return sample, rows, rho1
 
@@ -39,7 +39,7 @@ class NormalizedModel(NWeightModel):
         self.base = base
         self.divisor = divisor
         self.unit_rho = base.rho(base.one())
-        self.name = f"normalized({base.describe()}, d={divisor})"
+        self.name = f"normalized({base.name}, d={divisor})"
 
     def __getattr__(self, attr):
         return getattr(self.base, attr)
@@ -62,7 +62,7 @@ def normalize(model: NWeightModel, bound: int) -> NormalizedModel:
     sample, rows, rho1 = _checked_rows(model, bound)
     d = 0
     for f, r in zip(sample, rows.rhos):
-        if not model.is_zero(f) and r > rho1:
+        if f and r > rho1:
             d = gcd(d, int(r))
     return NormalizedModel(model, d)
 
@@ -71,7 +71,7 @@ def filtration_check(model: NWeightModel, bound: int) -> dict:
     """The subspace chain of the levels of rho, seen through sampled representatives."""
     sample, rows, rho1 = _checked_rows(model, bound)
     rhos = rows.rhos
-    nonzero = [i for i, f in enumerate(sample) if not model.is_zero(f)]
+    nonzero = [i for i, f in enumerate(sample) if f]
     values = sorted({0} | {int(rhos[i]) for i in nonzero})  # level 0 is the lowest
 
     reps = []  # per level, the sample index of its first nonzero element
@@ -136,7 +136,7 @@ def filtration_check(model: NWeightModel, bound: int) -> dict:
                 )
 
     return {
-        "model": model.describe(),
+        "model": model.name,
         "bound": bound,
         "levels": len(values),
         "verdict": "PASS" if not failures else "FAIL",

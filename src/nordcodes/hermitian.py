@@ -128,9 +128,9 @@ class HermitianCurve:
         """
         if self._profile is None:
             from .semigroup import GoodBasisProfile
-            self._profile = GoodBasisProfile.from_entries({
-                i: sigma for i in range(1, 2 * self.genus)
-                if (sigma := self.pole_orders(self.good_basis_function(i))[1])})
+            self._profile = GoodBasisProfile(
+                (i, sigma) for i in range(1, 2 * self.genus)
+                if (sigma := self.pole_orders(self.good_basis_function(i))[1]))
         return self._profile
 
     def __repr__(self):

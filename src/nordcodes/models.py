@@ -107,9 +107,6 @@ class NWeightModel:
     def __init__(self, field: Field):
         self.field = field
 
-    def zero(self):
-        return ()
-
     def one(self):
         return ((self.unit_key, 1),)
 
@@ -130,9 +127,6 @@ class NWeightModel:
         if not self._weighs():
             raise TypeError(f"{type(self).__name__} defines its own rho but no rows")
         return _WeightRows(self, elements)
-
-    def is_zero(self, f) -> bool:
-        return not f
 
     def basis_count(self, bound: int) -> int:
         """len(basis_keys(bound)); a model that can count its basis without
@@ -163,9 +157,6 @@ class NWeightModel:
         """The element with coefficient c on basis key k for (k, c) in
         `terms`: the pairs themselves."""
         return terms
-
-    def describe(self) -> str:
-        return self.name
 
 
 # ---------------------------------------------------------------------------
@@ -522,18 +513,17 @@ def axiom_check(model: NWeightModel, bound: int) -> AxiomReport:
     """Exhaustively check (N0)-(N5), the order axioms (O3)/(O4), and the
     companion lemmas over the bounded sample."""
     sample = _bounded_sample(model, bound)
-    report = AxiomReport(model.describe(), bound, len(sample), model.show)
+    report = AxiomReport(model.name, bound, len(sample), model.show)
     F = model.field
     units = [c for c in range(1, F.q)]
     rho1 = model.rho(model.one())
-    zero = model.zero()
     rows = model.rows(sample)
 
     rhos = [float(r) for r in rows.rhos]
 
     # N0: rho(f) = -inf iff f = 0
     bad = next(
-        (f for f, r in zip(sample, rhos) if (r == NEG_INF) != model.is_zero(f)), None
+        (f for f, r in zip(sample, rhos) if (r == NEG_INF) != (not f)), None
     )
     report.record("N0", bad is None, witness={"f": bad})
 
@@ -641,7 +631,7 @@ def axiom_check(model: NWeightModel, bound: int) -> AxiomReport:
 
     # Lemma 3.11 classification: U cap sample = F  iff  O0-O4 pass
     u_sample = [f for f, r in zip(sample, rhos) if r <= rho1]
-    constants = {zero} | {((model.unit_key, lam),) for lam in units}
+    constants = {()} | {((model.unit_key, lam),) for lam in units}
     u_is_field = set(u_sample) == constants
     orders_ok = report.order_axioms_pass()
     report.record(

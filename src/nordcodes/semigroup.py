@@ -147,8 +147,6 @@ def ns_from_generators(gens: list[int]) -> NumericalSemigroup:
             break
     if g != 1:
         raise NotCoprime(f"gcd of generators is {g}, not 1")
-    if gens[0] == 1:
-        return NumericalSemigroup(frozenset())
     # Schur: a coprime subset a < ... < b puts every gap below (a-1)(b-1);
     # the shortest coprime prefix gives the tightest such bound
     bound = (gens[0] - 1) * (gens[k] - 1)
@@ -206,7 +204,7 @@ class TwoPointSemigroup(Value):
                 t += 1
             if t > 0:
                 entries[i] = t
-        return GoodBasisProfile.from_entries(entries)
+        return GoodBasisProfile(entries.items())
 
     def to_json(self) -> dict:
         return {"gaps": [list(p) for p in sorted(self.gapset)]}
@@ -241,32 +239,45 @@ def semigroup_from_json(data) -> NumericalSemigroup | TwoPointSemigroup:
 class GoodBasisProfile(Value):
     """The map i -> sigma(f_i), stored sparsely on its nonzero entries.
 
-    Keys are the gaps of H(rho), values the gaps of H(sigma), bijectively;
-    the genus is the common number of gaps.  `sigma_steps` holds Sigma(s) =
+    Built from (i, sigma(f_i)) pairs in any order, kept sorted by i.  Keys
+    are the gaps of H(rho), values the gaps of H(sigma), bijectively, and
+    construction refuses anything else with ProfileBijectionViolation; the
+    genus is the number of entries.  `sigma_steps` holds Sigma(s) =
     max sigma(f_0..f_s) as its steps: (0, 0), then each (i, sigma(f_i)), in
-    key order over i >= 0, above every earlier value (at most genus + 1).
-    Sigma(s) is the value of the last step with i <= s, and the last step is
+    key order, above every earlier value (at most genus + 1).  Sigma(s) is
+    the value of the last step with i <= s, and the last step is
     (s_index, lambda_sigma).
     """
 
-    _fields = ("genus", "entries")  # int; sorted (i, sigma(f_i)) pairs
+    _fields = ("entries",)  # sorted (i, sigma(f_i)) pairs
 
     def __post_init__(self):
+        object.__setattr__(self, "entries", tuple(sorted((i, v) for i, v in self.entries)))
         _require_size(self.lambda_rho)
+        violations = []
+        keys = [i for i, _ in self.entries]
+        vals = [v for _, v in self.entries]
+        if any(i <= 0 for i in keys) or any(v <= 0 for v in vals):
+            violations.append("entries must have positive keys and values")
+        for label, xs in (("values", vals), ("keys", keys)):
+            if len(set(xs)) != len(xs):
+                dup = sorted(x for x in set(xs) if xs.count(x) > 1)
+                violations.append(f"{label} repeated: {dup}")
+        if not violations:
+            for label, gaps in (("H(rho)", keys), ("H(sigma)", vals)):
+                try:
+                    NumericalSemigroup(frozenset(gaps))
+                except (ClosureViolation, ZeroExcludedViolation) as exc:
+                    violations.append(f"complement of {label} gaps is not a semigroup: {exc}")
+        if violations:
+            raise ProfileBijectionViolation("; ".join(violations))
+        object.__setattr__(self, "genus", len(self.entries))
         object.__setattr__(self, "_map", dict(self.entries))
         steps = [(0, 0)]
-        for i, v in sorted(self._map.items()):
-            if i >= 0 and v > steps[-1][1]:
+        for i, v in self.entries:
+            if v > steps[-1][1]:
                 steps.append((i, v))
         object.__setattr__(self, "sigma_steps", tuple(steps))
-
-    @classmethod
-    def from_entries(cls, entries: dict[int, int]) -> "GoodBasisProfile":
-        prof = cls(genus=len(entries), entries=tuple(sorted(entries.items())))
-        report = prof.check_gap_bijection()
-        if not report["ok"]:
-            raise ProfileBijectionViolation("; ".join(report["violations"]))
-        return prof
 
     def sigma(self, i: int) -> int:
         """sigma(f_i); zero off the stored support."""
@@ -292,26 +303,6 @@ class GoodBasisProfile(Value):
     @property
     def sigma_gaps(self) -> frozenset[int]:
         return frozenset(v for _, v in self.entries)
-
-    def check_gap_bijection(self) -> dict:
-        """Report-valued validation of the profile invariants."""
-        violations = []
-        keys = [i for i, _ in self.entries]
-        vals = [v for _, v in self.entries]
-        if any(i <= 0 for i in keys) or any(v <= 0 for v in vals):
-            violations.append("entries must have positive keys and values")
-        if len(set(vals)) != len(vals):
-            dup = sorted(v for v in set(vals) if vals.count(v) > 1)
-            violations.append(f"values repeated: {dup}")
-        if len(keys) != self.genus:
-            violations.append(f"#keys {len(keys)} != genus {self.genus}")
-        if not violations:
-            for label, gaps in (("H(rho)", keys), ("H(sigma)", vals)):
-                try:
-                    NumericalSemigroup(frozenset(gaps))
-                except (ClosureViolation, ZeroExcludedViolation) as exc:
-                    violations.append(f"complement of {label} gaps is not a semigroup: {exc}")
-        return {"ok": not violations, "violations": violations}
 
     def to_json(self) -> dict:
         return {"genus": self.genus, "entries": {str(i): v for i, v in self.entries}}
@@ -341,7 +332,7 @@ class GoodBasisProfile(Value):
         genus = data.get("genus", len(parsed))
         if type(genus) is not int or genus != len(parsed):
             raise MalformedProfile(f"genus {genus!r} is not the number of entries, {len(parsed)}")
-        return cls.from_entries(parsed)
+        return cls(parsed.items())
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)
@@ -352,4 +343,4 @@ def hyperelliptic_profile(genus: int) -> GoodBasisProfile:
     if genus < 1:
         raise ProfileBijectionViolation("genus must be >= 1")
     _require_size(genus)  # lambda_rho = genus: refused before the entries are built
-    return GoodBasisProfile.from_entries({i: i for i in range(1, genus + 1)})
+    return GoodBasisProfile((i, i) for i in range(1, genus + 1))

@@ -3,9 +3,9 @@
 
 class Value:
     """An immutable record of the fields named in `_fields`, given by
-    position or keyword.  `__post_init__` may validate them and set derived
-    attributes with `object.__setattr__`; equality, hash and repr read the
-    fields only.  Assignment raises AttributeError."""
+    position or keyword.  `__post_init__` may validate them, normalize them
+    and set derived attributes with `object.__setattr__`; equality, hash and
+    repr read the fields only.  Assignment raises AttributeError."""
 
     _fields = ()
 

@@ -13,8 +13,8 @@ from nordcodes.semigroup import (GoodBasisProfile, TwoPointSemigroup, hyperellip
 
 HYPER2 = hyperelliptic_profile(2)
 HYPER1 = hyperelliptic_profile(1)
-EMPTY = GoodBasisProfile.from_entries({})
-HERMITIAN3 = GoodBasisProfile.from_entries({1: 5, 2: 2, 5: 1})
+EMPTY = GoodBasisProfile(())
+HERMITIAN3 = GoodBasisProfile({1: 5, 2: 2, 5: 1}.items())
 
 
 def d_nord_oracle(profile, ell, m, window=50):
@@ -49,7 +49,7 @@ def abc_decomposition(profile, r, m):
 def _gap_bijections(gens):
     """Profiles mapping the gaps of <gens> onto themselves in random order."""
     gaps = sorted(ns_from_generators(gens).gaps)
-    return st.permutations(gaps).map(lambda vals: GoodBasisProfile.from_entries(dict(zip(gaps, vals))))
+    return st.permutations(gaps).map(lambda vals: GoodBasisProfile(zip(gaps, vals)))
 
 
 PROFILES = st.one_of(
@@ -143,6 +143,15 @@ def test_threshold_count_is_the_n_set_size(profile, data):
 def test_capital_sigma_matches_scan(profile, data):
     s = data.draw(st.integers(-2, profile.lambda_rho + 3), label="s")
     assert bounds.capital_sigma(profile, s) == capital_sigma_scan(profile, s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(profile=st.one_of(PROFILES, st.sampled_from(TWO_POINT_PROFILES)), data=st.data())
+def test_profile_ignores_entry_order(profile, data):
+    again = GoodBasisProfile(data.draw(st.permutations(profile.entries), label="entries"))
+    assert again == profile and again.entries == profile.entries
+    assert again.genus == profile.genus == len(profile.entries)
+    assert again.sigma_steps == profile.sigma_steps
 
 
 @settings(max_examples=60, deadline=None)

@@ -117,6 +117,15 @@ def test_bound_table_csv(hyper2_profile, tmp_path, capsys):
     assert len(lines) == 4
 
 
+def test_bound_table_with_diagnose_is_a_usage_error(hyper2_profile, tmp_path, capsys):
+    # --diagnose reports on the one cell --ell, --m; --table would drop it
+    csv_path = tmp_path / "table.csv"
+    code, out, err = run(capsys, "bound", "--profile", hyper2_profile, "--ell", "4", "--m", "3",
+                         "--table", "--diagnose", "--csv", str(csv_path))
+    assert code == 2 and out == "" and "not allowed with argument --table" in err
+    assert not csv_path.exists()
+
+
 def test_bound_table_out(hyper2_profile, tmp_path, capsys):
     argv = ("bound", "--profile", hyper2_profile, "--ell", "0", "--m", "0",
             "--table", "--ell-range", "2..4", "--m-range", "3..3")
@@ -404,6 +413,15 @@ def test_semigroup_file_malformed(tmp_path, capsys, argv, text):
         path.write_text(text)
     code, out, err = run(capsys, *argv, str(path))
     assert code == 1 and out == "" and err.startswith("error MalformedSemigroup:")
+
+
+@pytest.mark.parametrize("argv", [("semigroup", "--from-file"), ("profile", "--semigroup")])
+def test_negative_gap_pair_refused(tmp_path, capsys, argv):
+    path = tmp_path / "sg.json"
+    path.write_text('{"gaps": [[-1, 2]]}')
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (1, "")
+    assert err == "error ZeroExcludedViolation: gap pairs must be nonnegative\n"
 
 
 def _child_env():

@@ -33,25 +33,65 @@ SMALL_CURVES = {q: HermitianCurve(q) for q in (2, 3, 4)}
 # -- LinearCode core --------------------------------------------------------
 
 
-def test_from_rows_reduces():
+def test_construction_reduces():
     F = make_field(2, 1)
     rows = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]  # rank 2
-    code = codes.LinearCode.from_rows(rows, F, 3)
-    assert code.k == 2
+    code = codes.LinearCode(F, 3, rows)
+    assert code.k == 2 and code.generator == ((1, 0, 1), (0, 1, 1))
     assert code.contains((1, 0, 1))
     assert not code.contains((1, 0, 0))
+    # rows that are not yet an RREF span the same code
+    assert codes.LinearCode(F, 3, ((1, 1, 0), (1, 0, 1))).contains((0, 1, 1))
+    twice = codes.LinearCode(F, 3, ((1, 1, 0), (1, 1, 0)))
+    assert twice.k == 1 and twice.min_distance_bruteforce() == 2
+
+
+@st.composite
+def recombined_codes(draw):
+    """(code, rows): a code over GF(4) or GF(9), and its generator mixed by
+    a random invertible matrix, with zero rows and repeated rows added, in
+    random order."""
+    F = make_field(*draw(st.sampled_from([(2, 2), (3, 2)])))
+    n = draw(st.integers(1, 6))
+    elem = st.integers(0, F.q - 1)
+    rows = draw(st.lists(st.lists(elem, min_size=n, max_size=n), max_size=n))
+    code = codes.LinearCode(F, n, rows)
+    k = code.k
+    mix = draw(st.lists(st.lists(elem, min_size=k, max_size=k), min_size=k, max_size=k)
+               .filter(lambda a: rank(a, F) == k))
+    mixed = []
+    for coeffs in mix:
+        word = [0] * n
+        for c, row in zip(coeffs, code.generator):
+            word = F.add_scaled_row(word, c, row)
+        mixed.append(word)
+    extra = [[0] * n] * draw(st.integers(0, 2))
+    extra += [mixed[i] for i in draw(st.lists(st.integers(0, k - 1), max_size=2))] if k else []
+    return code, draw(st.permutations(mixed + extra))
+
+
+@settings(max_examples=100, deadline=None)
+@given(recombined_codes())
+def test_equal_codes_are_equal_row_spaces(case):
+    code, rows = case
+    F, n = code.field, code.n
+    assert codes.LinearCode(F, n, rows) == code
+    assert codes.LinearCode(F, n, code.generator) == code
+    for i, (row, pc) in enumerate(zip(code.generator, code.pivots)):
+        assert row[pc] == 1 and not any(row[:pc])
+        assert [other[pc] for other in code.generator] == [int(j == i) for j in range(code.k)]
 
 
 def ref_dual(code):
     """The dual as the row-reduced nullspace of the generator: the oracle
     for `build_C`, which builds the dual at its own divisor."""
-    return codes.LinearCode.from_rows(ref_nullspace(code.generator, code.field, code.n),
-                                      code.field, code.n)
+    return codes.LinearCode(code.field, code.n,
+                            ref_nullspace(code.generator, code.field, code.n))
 
 
 def test_duality():
     F = make_field(2, 2)
-    code = codes.LinearCode.from_rows([[1, 0, 1, 2], [0, 1, 1, 3]], F, 4)
+    code = codes.LinearCode(F, 4, [[1, 0, 1, 2], [0, 1, 1, 3]])
     dual = ref_dual(code)
     assert code.k + dual.k == 4
     for row in code.generator:
@@ -62,23 +102,23 @@ def test_duality():
 
 def test_repetition_code_distance():
     F = make_field(2, 2)
-    rep = codes.LinearCode.from_rows([[1] * 7], F, 7)
+    rep = codes.LinearCode(F, 7, [[1] * 7])
     assert rep.min_distance_bruteforce() == 7
-    zero = codes.LinearCode.from_rows([], F, 7)
+    zero = codes.LinearCode(F, 7, [])
     assert zero.min_distance_bruteforce() is None
 
 
 def test_bruteforce_cap():
     F = make_field(2, 8)
     rows = [[1 if i == j else 0 for j in range(30)] for i in range(30)]
-    code = codes.LinearCode.from_rows(rows, F, 30)
+    code = codes.LinearCode(F, 30, rows)
     with pytest.raises(SearchTooLarge):
         code.min_distance_bruteforce()
 
 
 def test_codewords_count_and_order():
     F = make_field(2, 1)
-    code = codes.LinearCode.from_rows([[1, 0, 1], [0, 1, 1]], F, 3)
+    code = codes.LinearCode(F, 3, [[1, 0, 1], [0, 1, 1]])
     words = list(code.codewords())
     assert len(words) == 4 and words[0] == (0, 0, 0)
     assert words == [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)]  # message-lexicographic
@@ -108,7 +148,7 @@ def small_codes(draw):
     dim = draw(st.integers(0, max(i for i in range(n + 1) if F.q**i <= 700)))
     elem = st.integers(0, F.q - 1)
     rows = draw(st.lists(st.lists(elem, min_size=n, max_size=n), min_size=dim, max_size=dim))
-    return codes.LinearCode.from_rows(rows, F, n)
+    return codes.LinearCode(F, n, rows)
 
 
 @settings(max_examples=150, deadline=None)
@@ -141,7 +181,7 @@ def test_enumeration_memory_is_bounded():
     F = make_field(2, 2)
     n = 16
     rows = [[1 if j in (i, i + 4) else 0 for j in range(n)] for i in range(12)]
-    code = codes.LinearCode.from_rows(rows, F, n)
+    code = codes.LinearCode(F, n, rows)
     assert F.q**code.k == 1 << 24  # at the cap, still searchable
     tracemalloc.start()
     try:
@@ -155,7 +195,7 @@ def test_enumeration_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20
-    bigger = codes.LinearCode.from_rows(rows + [[0] * 15 + [1]], F, n)
+    bigger = codes.LinearCode(F, n, rows + [[0] * 15 + [1]])
     with pytest.raises(SearchTooLarge):
         bigger.min_distance_bruteforce()
 
@@ -308,7 +348,7 @@ def test_saturated_build_E_is_the_listed_code(q, m_up, past):
     n, g = len(codes.evaluation_points(curve)), curve.genus
     m = curve.profile_closed_form().lambda_sigma + m_up
     ell = n + 2 * g - 1 + past - m
-    listed = codes.LinearCode.from_rows(codes.evaluation_matrix(curve, ell, m), curve.field, n)
+    listed = codes.LinearCode(curve.field, n, codes.evaluation_matrix(curve, ell, m))
     assert codes._evaluation_code(curve, ell, m) == listed
     if ell < 0:
         with pytest.raises(NegativeEll):
@@ -430,13 +470,13 @@ def test_profile_built_only_where_it_is_read(monkeypatch, capsys):
     """The builds take lambda_sigma = 2*genus - 1 and build no profile; the
     Prop 6.3 sweep and Thm 6.1 build it once per curve and keep it."""
     builds = []
-    from_entries = GoodBasisProfile.from_entries
+    post_init = GoodBasisProfile.__post_init__
 
-    def counted(cls, entries):
-        builds.append(entries)
-        return from_entries(entries)
+    def counted(self):
+        builds.append(self)
+        post_init(self)
 
-    monkeypatch.setattr(GoodBasisProfile, "from_entries", classmethod(counted))
+    monkeypatch.setattr(GoodBasisProfile, "__post_init__", counted)
     curve = HermitianCurve(2)
     codes.build_E(curve, 2, 1)
     codes.build_C(curve, 2, 1)

@@ -43,6 +43,8 @@ def test_validation_errors():
             Field(p, k)
     with pytest.raises(DivisionByZero):
         make_field(2, 2).inv(0)
+    with pytest.raises(DivisionByZero, match="negative power of zero"):
+        make_field(2, 2).pow(0, -1)
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 4)])

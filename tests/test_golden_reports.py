@@ -131,7 +131,7 @@ def digest(kind, p, k, bound, full):
         filt = _run(lambda: filtration.filtration_check(model, bound))
         out["filtration"] = _sha(json.dumps(filt, sort_keys=True, default=str))
         norm = _run(lambda: filtration.normalize(model, bound))
-        out["normalize"] = norm if isinstance(norm, str) else norm.describe()
+        out["normalize"] = norm if isinstance(norm, str) else norm.name
     return out
 
 

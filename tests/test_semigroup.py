@@ -121,7 +121,7 @@ def test_size_cap():
     with pytest.raises(SemigroupTooLarge):
         NumericalSemigroup(frozenset({1, MAX_LARGEST_GAP + 1}))
     with pytest.raises(SemigroupTooLarge):
-        GoodBasisProfile.from_entries({10**12: 1})
+        GoodBasisProfile({10**12: 1}.items())
     # the shortest coprime prefix bounds the gaps, not the largest generator
     assert ns_from_generators([3, 5, 10**9]).gaps == {1, 2, 4, 7}
 
@@ -156,6 +156,8 @@ def test_tps_examples():
         TwoPointSemigroup(frozenset({(2, 0)}))  # (1,0) + (1,0)
     with pytest.raises(ZeroExcludedViolation):
         TwoPointSemigroup(frozenset({(0, 0)}))
+    with pytest.raises(ZeroExcludedViolation, match="^gap pairs must be nonnegative$"):
+        TwoPointSemigroup(frozenset({(-1, 2)}))
 
 
 def full_walk_witness(gapset):
@@ -262,20 +264,24 @@ def test_hyperelliptic_profile():
 
 
 def test_gap_bijection_report():
-    ok = hyperelliptic_profile(2).check_gap_bijection()
-    assert ok["ok"]
-    bad = GoodBasisProfile(genus=2, entries=((1, 1), (2, 1)))
-    rep = bad.check_gap_bijection()
-    assert not rep["ok"] and any("repeated" in v for v in rep["violations"])
-    with pytest.raises(ProfileBijectionViolation):
-        GoodBasisProfile.from_entries({1: 1, 2: 1})
+    # construction is the check: every violation found, joined in one message
+    assert GoodBasisProfile({1: 1, 2: 2}.items()) == hyperelliptic_profile(2)
+    with pytest.raises(ProfileBijectionViolation, match=r"^values repeated: \[1\]$"):
+        GoodBasisProfile({1: 1, 2: 1}.items())
+    with pytest.raises(ProfileBijectionViolation) as exc:
+        GoodBasisProfile(((0, 1), (2, 1), (2, 3)))
+    assert str(exc.value) == ("entries must have positive keys and values; "
+                              "values repeated: [1]; keys repeated: [2]")
+    with pytest.raises(ProfileBijectionViolation,
+                       match=r"^complement of H\(rho\) gaps is not a semigroup"):
+        GoodBasisProfile(((2, 1),))
 
 
 def test_malformed_profile_refused_at_once():
     # the refusal reads the entries alone: nothing is built up to the key 10**6
     start = time.perf_counter()
     with pytest.raises(ProfileBijectionViolation):
-        GoodBasisProfile.from_entries({10**6: 1, 5: 1})
+        GoodBasisProfile({10**6: 1, 5: 1}.items())
     assert time.perf_counter() - start < 0.05
 
 

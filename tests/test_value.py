@@ -1,10 +1,12 @@
 """Value semantics of the immutable records: construction, equality, hash,
 repr and frozen fields."""
 
-from functools import cached_property
+import ast
+from pathlib import Path
 
 import pytest
 
+import nordcodes
 from nordcodes import bounds, codes
 from nordcodes.errors import ClosureViolation, ProfileBijectionViolation
 from nordcodes.field import make_field
@@ -23,18 +25,16 @@ RECORDS = [
      "NumericalSemigroup(gaps=frozenset({1, 2, 5}))"),
     (TwoPointSemigroup, {"gapset": frozenset({(0, 1), (1, 0)})}, {"gapset": frozenset()},
      "TwoPointSemigroup(gapset=frozenset({(0, 1), (1, 0)}))"),
-    (GoodBasisProfile, {"genus": 2, "entries": ((1, 1), (2, 2))},
-     {"genus": 2, "entries": ((1, 2), (2, 1))},
-     "GoodBasisProfile(genus=2, entries=((1, 1), (2, 2)))"),
+    (GoodBasisProfile, {"entries": ((1, 1), (2, 2))}, {"entries": ((1, 2), (2, 1))},
+     "GoodBasisProfile(entries=((1, 1), (2, 2)))"),
     (bounds.NSet, {"r": 2, "m": 3, "pairs": ((0, 3), (1, 2), (2, 1), (3, 0))},
      {"r": 2, "m": 4, "pairs": ((0, 3), (1, 2), (2, 1), (3, 0))},
      "NSet(r=2, m=3, pairs=((0, 3), (1, 2), (2, 1), (3, 0)))"),
     (codes.LinearCode, {"field": F2, "n": 3, "generator": ((1, 0, 1), (0, 1, 1))},
      {"field": F2, "n": 3, "generator": ((1, 0, 1),)},
      "LinearCode(field=Field(p=2, k=1, modulus=[0, 1]), n=3, generator=((1, 0, 1), (0, 1, 1)))"),
-    (codes.SyndromeMatrix, {"entries": ((1, 0), (0, 1)), "word": (1, 1)},
-     {"entries": ((1, 0), (0, 1)), "word": (1, 0)},
-     "SyndromeMatrix(entries=((1, 0), (0, 1)), word=(1, 1))"),
+    (codes.SyndromeMatrix, {"entries": ((1, 0), (0, 1))}, {"entries": ((0, 1), (1, 0))},
+     "SyndromeMatrix(entries=((1, 0), (0, 1)))"),
 ]
 
 
@@ -67,15 +67,16 @@ def test_validation_runs_on_construction():
         NumericalSemigroup(gaps=frozenset({4}))
     with pytest.raises(ClosureViolation):
         TwoPointSemigroup(frozenset({(2, 0)}))
-    bad = GoodBasisProfile(genus=2, entries=((1, 1), (2, 1)))
-    assert not bad.check_gap_bijection()["ok"]
-    with pytest.raises(ProfileBijectionViolation):
-        GoodBasisProfile.from_entries({1: 1, 2: 1})
+    with pytest.raises(ProfileBijectionViolation, match=r"^values repeated: \[1\]$"):
+        GoodBasisProfile(((1, 1), (2, 1)))
+    with pytest.raises(ProfileBijectionViolation) as exc:
+        GoodBasisProfile(((1, 1), (1, 1)))
+    assert str(exc.value) == "values repeated: [1]; keys repeated: [1]"
 
 
 def test_profile_equality_ignores_derived_attributes():
     prof = hyperelliptic_profile(3)
-    again = GoodBasisProfile(genus=3, entries=((1, 1), (2, 2), (3, 3)))
+    again = GoodBasisProfile(entries=((3, 3), (1, 1), (2, 2)))
     assert prof == again and hash(prof) == hash(again)
     assert prof.sigma_steps == ((0, 0), (1, 1), (2, 2), (3, 3)) and prof.sigma(2) == 2
     object.__setattr__(again, "sigma_steps", ())
@@ -83,7 +84,30 @@ def test_profile_equality_ignores_derived_attributes():
 
 
 def test_linear_code_keeps_its_cached_pivots():
-    assert isinstance(vars(codes.LinearCode)["pivots"], cached_property)
-    code = codes.LinearCode(F2, 3, ((1, 0, 1), (0, 1, 1)))
+    # the pivots are the ones the construction's row reduction returns, kept
+    # on the instance; nothing rescans the rows for them
+    assert "pivots" not in vars(codes.LinearCode)
+    code = codes.LinearCode(F2, 3, ((0, 1, 1), (1, 1, 0)))
+    assert code.generator == ((1, 0, 1), (0, 1, 1))
     assert code.pivots == (0, 1) and vars(code)["pivots"] == (0, 1)
     assert code == codes.LinearCode(F2, 3, ((1, 0, 1), (0, 1, 1)))
+
+
+def test_value_records_have_one_constructor():
+    """Each record is built only through its fields, so `__post_init__`
+    sees every instance; `from_json` parses and then calls the constructor."""
+    classes = {}
+    for path in sorted(Path(nordcodes.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                classes[node.name] = node
+    values, grew = {"Value"}, True
+    while grew:
+        found = {name for name, node in classes.items()
+                 if any(isinstance(b, ast.Name) and b.id in values for b in node.bases)}
+        grew, values = not found <= values, values | found
+    assert values - {"Value"} == {cls.__name__ for cls, *_ in RECORDS}
+    extra = [f"{name}.{f.name}" for name in sorted(values) for f in classes[name].body
+             if isinstance(f, ast.FunctionDef) and f.name != "from_json"
+             and any(isinstance(d, ast.Name) and d.id == "classmethod" for d in f.decorator_list)]
+    assert extra == []
