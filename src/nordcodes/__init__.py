@@ -14,7 +14,7 @@ _EXPORTS = {
     "bounds": ("capital_sigma", "d_goppa", "d_nord", "n_set", "n_set_size",
                "lemma62_diagnostic", "bound_table"),
     "hermitian": ("HermitianCurve",),
-    "codes": ("LinearCode", "build_C", "build_E", "evaluation_points", "saturation_index"),
+    "codes": ("LinearCode", "build_C", "build_E", "saturation_index"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -7,7 +7,7 @@ all matrices are bit-reproducible.
 
 The dimension of E_l^m is counted from two Riemann-Roch dimensions
 (`dimension`), and that count alone decides saturation in `build_E`,
-`build_C`, `saturation_index` and `layer_membership`.  The dual C_l^m is
+`build_C` and the layer test of `verify_prop63`.  The dual C_l^m is
 itself an evaluation code, E at the dual divisor (n + 2g - 1 - l, -m - 1),
 so both codes come from one elimination of one evaluation matrix.
 
@@ -23,7 +23,7 @@ import itertools
 import json
 
 from . import linalg
-from .errors import SearchTooLarge, WordNotInLayer, require_ell, require_m
+from .errors import NotAVector, SearchTooLarge, WordNotInLayer, require_ell, require_m
 from .field import Field
 from .hermitian import HermitianCurve
 from .value import Value
@@ -54,15 +54,24 @@ def _span(field: Field, rows, start):
             yield field.add_scaled_row(base, 1, w)
 
 
+def _vector(field: Field, n: int, word) -> tuple[int, ...]:
+    """word, a list or tuple of n field indices, as a tuple; else NotAVector."""
+    if not (isinstance(word, (list, tuple)) and len(word) == n
+            and all(type(v) is int and 0 <= v < field.q for v in word)):
+        raise NotAVector(f"expected a list or tuple of {n} field indices 0..{field.q - 1}")
+    return tuple(word)
+
+
 class LinearCode(Value):
     """The row space of `generator`, stored as its RREF, so two codes are
     equal exactly when they span the same space; `pivots` holds the pivot
-    column of each row."""
+    column of each row.  Every row must be a vector of n field indices."""
 
     _fields = ("field", "n", "generator")
 
     def __post_init__(self):
-        reduced, pivots = linalg.rref(self.generator, self.field)
+        rows = [_vector(self.field, self.n, row) for row in self.generator]
+        reduced, pivots = linalg.rref(rows, self.field)
         object.__setattr__(self, "generator", tuple(map(tuple, reduced)))
         object.__setattr__(self, "pivots", tuple(pivots))
 
@@ -71,6 +80,7 @@ class LinearCode(Value):
         return len(self.generator)
 
     def contains(self, word) -> bool:
+        word = _vector(self.field, self.n, word)
         return not any(linalg.reduce(word, self.generator, self.pivots, self.field))
 
     def codewords(self):
@@ -100,11 +110,6 @@ class LinearCode(Value):
 
 # ---------------------------------------------------------------------------
 # curve codes
-
-
-def evaluation_points(curve: HermitianCurve) -> list[tuple[int, int]]:
-    """All affine points except the base point (0, 0), lexicographic order."""
-    return list(curve.points[1:])  # curve.points lists (0, 0) first
 
 
 def evaluation_matrix(curve: HermitianCurve, ell: int, m: int) -> list[list[int]]:
@@ -175,25 +180,12 @@ def syndrome_matrix(curve: HermitianCurve, m: int, word, L: int) -> SyndromeMatr
     """S(y)_ij = sum_P y_P f_i(P) f_j(P), 0 <= i, j <= L, f_t the good-basis
     monomial of key k_t.  f_i f_j is the monomial of k_i + k_j, so S(y) has one
     dot of the word per distinct key sum."""
-    F = curve.field
+    F, word = curve.field, _vector(curve.field, curve.n, word)
     keys = [curve.good_basis_function(t) for t in range(L + 1)]
     sums = [[(a1 + a2, b1 + b2) for a2, b2 in keys] for a1, b1 in keys]
     dots = {key: F.dot(curve.image(key), word) for key in set(itertools.chain(*sums))}
     entries = tuple(tuple(dots[key] for key in row) for row in sums)
     return SyndromeMatrix(entries)
-
-
-def layer_membership(curve: HermitianCurve, ell: int, m: int, word) -> tuple[bool, bool]:
-    """(word in C_ell^m, word in C_{ell+1}^m) via orthogonality tests; from
-    the saturation index on, C_l^m = {0} and nothing is listed."""
-    F, saturated = curve.field, saturation_index(curve, m)
-
-    def orthogonal(l):
-        if l >= saturated:
-            return not any(word)
-        return all(F.dot(curve.image(k), word) == 0 for k in curve.riemann_roch_basis(l, m))
-
-    return orthogonal(ell), orthogonal(ell + 1)
 
 
 def verify_prop63(curve: HermitianCurve, ell: int, m: int, word) -> dict:
@@ -202,8 +194,15 @@ def verify_prop63(curve: HermitianCurve, ell: int, m: int, word) -> dict:
     from . import bounds
 
     require_m(m, curve.lambda_sigma)
-    in_l, in_l1 = layer_membership(curve, ell, m, word)
-    if not in_l or in_l1:
+    require_ell(ell)
+    F, word = curve.field, _vector(curve.field, curve.n, word)
+
+    def in_dual(l):  # C_l^m = {0}, nothing listed, where `dimension` says E_l^m = F^n
+        if dimension(curve, l, m) == curve.n:
+            return not any(word)
+        return all(F.dot(curve.image(k), word) == 0 for k in curve.riemann_roch_basis(l, m))
+
+    if not in_dual(ell) or in_dual(ell + 1):
         raise WordNotInLayer(f"word not in C_{ell}^{m} \\ C_{ell + 1}^{m}")
     nset = bounds.n_set(curve.profile_closed_form(), ell, m)
     L = saturation_index(curve, m)

@@ -132,3 +132,7 @@ class SearchTooLarge(NordError):
 
 class WordNotInLayer(NordError):
     pass
+
+
+class NotAVector(NordError):
+    pass

@@ -151,14 +151,14 @@ def ns_from_generators(gens: list[int]) -> NumericalSemigroup:
     # the shortest coprime prefix gives the tightest such bound
     bound = (gens[0] - 1) * (gens[k] - 1)
     _require_size(bound - 1)
-    reachable = [False] * (bound + 1)
-    reachable[0] = True
-    for n in range(1, bound + 1):
-        for x in gens:
-            if x <= n and reachable[n - x]:
-                reachable[n] = True
-                break
-    return NumericalSemigroup(frozenset(n for n in range(1, bound + 1) if not reachable[n]))
+    # bit n of reach is set iff n <= bound is a sum of gens; shifts by x, 2x, 4x, ... add N*x
+    reach, full = 1, (1 << (bound + 1)) - 1
+    for x in gens:
+        if x <= bound and not reach >> x & 1:
+            while x <= bound:
+                reach |= (reach << x) & full
+                x *= 2
+    return NumericalSemigroup(frozenset(_set_bits(reach ^ full)))
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +259,9 @@ class GoodBasisProfile(Value):
         vals = [v for _, v in self.entries]
         if any(i <= 0 for i in keys) or any(v <= 0 for v in vals):
             violations.append("entries must have positive keys and values")
-        for label, xs in (("values", vals), ("keys", keys)):
-            if len(set(xs)) != len(xs):
-                dup = sorted(x for x in set(xs) if xs.count(x) > 1)
+        for label, xs in (("values", sorted(vals)), ("keys", keys)):  # keys are sorted
+            dup = sorted({x for x, y in zip(xs, xs[1:]) if x == y})
+            if dup:
                 violations.append(f"{label} repeated: {dup}")
         if not violations:
             for label, gaps in (("H(rho)", keys), ("H(sigma)", vals)):
@@ -295,14 +295,6 @@ class GoodBasisProfile(Value):
     def s_index(self) -> int:
         """Smallest index attaining lambda_sigma (0 for the empty profile)."""
         return self.sigma_steps[-1][0]
-
-    @property
-    def rho_gaps(self) -> frozenset[int]:
-        return frozenset(i for i, _ in self.entries)
-
-    @property
-    def sigma_gaps(self) -> frozenset[int]:
-        return frozenset(v for _, v in self.entries)
 
     def to_json(self) -> dict:
         return {"genus": self.genus, "entries": {str(i): v for i, v in self.entries}}

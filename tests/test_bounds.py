@@ -34,7 +34,7 @@ def abc_decomposition(profile, r, m):
     """
     s = profile.s_index
     lam = profile.lambda_sigma
-    gaps = profile.rho_gaps
+    gaps = {i for i, _ in profile.entries}
     a_set = {i for i in range(1, r + 1) if i not in gaps}
     b_set = {i for i in gaps if 1 <= i <= r + 1 - s and profile.sigma(i) + lam <= m}
     c_set = {
@@ -235,7 +235,7 @@ def test_abc_identity_property(profile, r, m_off):
 def test_size_bounds_and_floor():
     for profile in (HYPER1, HYPER2, HERMITIAN3):
         gamma = profile.genus
-        rho_gaps = profile.rho_gaps
+        rho_gaps = {i for i, _ in profile.entries}
         for m in range(profile.lambda_sigma, 2 * profile.lambda_sigma + 4):
             for r in range(0, 16):
                 size = len(bounds.n_set(profile, r, m))

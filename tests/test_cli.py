@@ -253,6 +253,30 @@ def test_two_point_semigroup_too_large(tmp_path, capsys, command):
     assert code == 1 and out == "" and err.startswith("error SemigroupTooLarge:")
 
 
+def test_redundant_generators_are_cheap(capsys):
+    # 4000 generators above the Schur bound 999000 of <1000, 1001> change
+    # nothing; the reachability scan tried each of them per gap (25 s)
+    extra = ",".join(map(str, range(999001, 1003001)))
+    start = time.perf_counter()
+    result = run(capsys, "semigroup", "--generators", f"1000,1001,{extra}")
+    assert time.perf_counter() - start < 1.0
+    assert result[0] == 0 and result[2] == ""
+    assert result == run(capsys, "semigroup", "--generators", "1000,1001")
+
+
+def test_repeated_profile_value_refused_at_once(tmp_path, capsys):
+    # one repeated value among 200000 entries: counting the occurrences of
+    # each value took 16 s at 40000 entries
+    entries = {str(i): i for i in range(1, 200000)}
+    entries["200000"] = 1
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps({"entries": entries}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "bound", "--profile", str(path), "--ell", "0", "--m", "1")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (1, "", "error ProfileBijectionViolation: values repeated: [1]\n")
+
+
 @pytest.mark.parametrize("field", [
     ("--p", "257"),
     ("--p", "2", "--k", "9"),
@@ -648,27 +672,35 @@ def test_package_exports_resolve_lazily():
 
 
 def _guarded_raises(node) -> list[str]:
-    """Each NegativeEll, MBelowLambda or NegativeBound that a `raise`
-    statement under node raises, by name."""
+    """Each NegativeEll, MBelowLambda, NegativeBound or NotAVector that a
+    `raise` statement under node raises, by name."""
     names = []
     for n in ast.walk(node):
         if isinstance(n, ast.Raise) and n.exc is not None:
             exc = n.exc.func if isinstance(n.exc, ast.Call) else n.exc
             names.append(getattr(exc, "id", getattr(exc, "attr", None)))
-    return [name for name in names if name in {"NegativeEll", "MBelowLambda", "NegativeBound"}]
+    guarded = {"NegativeEll", "MBelowLambda", "NegativeBound", "NotAVector"}
+    return [name for name in names if name in guarded]
+
+
+def _raises_by_function(path) -> dict[str, list[str]]:
+    return {f.name: names for f in ast.parse(path.read_text()).body
+            if isinstance(f, ast.FunctionDef) and (names := _guarded_raises(f))}
 
 
 def test_boundary_errors_are_raised_only_by_the_checks():
     """Each boundary error is raised once, in its `require_*` check in
-    `errors`, so no layer keeps a copy of the check."""
+    `errors`, so no layer keeps a copy of the check; every vector of F^n
+    is checked by `codes._vector` alone."""
     src = Path(nordcodes.__file__).parent
     raised = {path.name: names for path in sorted(src.glob("*.py"))
               if (names := _guarded_raises(ast.parse(path.read_text())))}
-    assert list(raised) == ["errors.py"] and len(raised["errors.py"]) == 3
-    checks = {f.name: _guarded_raises(f) for f in ast.parse((src / "errors.py").read_text()).body
-              if isinstance(f, ast.FunctionDef)}
-    assert checks == {"require_ell": ["NegativeEll"], "require_m": ["MBelowLambda"],
-                      "require_bound": ["NegativeBound"]}
+    assert list(raised) == ["codes.py", "errors.py"] and len(raised["errors.py"]) == 3
+    assert raised["codes.py"] == ["NotAVector"]
+    assert _raises_by_function(src / "errors.py") == {
+        "require_ell": ["NegativeEll"], "require_m": ["MBelowLambda"],
+        "require_bound": ["NegativeBound"]}
+    assert _raises_by_function(src / "codes.py") == {"_vector": ["NotAVector"]}
 
 
 @pytest.mark.parametrize("argv,expected", [

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from curve_reference import monomial
 from nordcodes import codes
 from nordcodes.cli import main
-from nordcodes.errors import MBelowLambda, NegativeEll, SearchTooLarge, WordNotInLayer
+from nordcodes.errors import (MBelowLambda, NegativeEll, NotAVector, SearchTooLarge,
+                              WordNotInLayer)
 from nordcodes.field import make_field
 from nordcodes.hermitian import HermitianCurve
 from nordcodes.linalg import rank
@@ -204,10 +205,11 @@ def test_enumeration_memory_is_bounded():
 
 
 def test_evaluation_points(c2, c3):
-    pts2 = codes.evaluation_points(c2)
-    assert len(pts2) == 7 and (0, 0) not in pts2
-    assert pts2 == sorted(pts2)
-    assert len(codes.evaluation_points(c3)) == 26
+    """The code support is every affine point but (0, 0), lexicographic."""
+    pts2 = c2.points[1:]
+    assert len(pts2) == 7 == c2.n and (0, 0) not in pts2
+    assert list(pts2) == sorted(pts2)
+    assert len(c3.points[1:]) == 26 == c3.n
 
 
 def test_build_E_examples(c2):
@@ -345,7 +347,7 @@ def test_saturated_build_E_is_the_listed_code(q, m_up, past):
     At large m this ell is negative: the private builder takes it (the dual
     divisor needs it) and the public build_E refuses it."""
     curve = SMALL_CURVES[q]
-    n, g = len(codes.evaluation_points(curve)), curve.genus
+    n, g = curve.n, curve.genus
     m = curve.profile_closed_form().lambda_sigma + m_up
     ell = n + 2 * g - 1 + past - m
     listed = codes.LinearCode(curve.field, n, codes.evaluation_matrix(curve, ell, m))
@@ -377,7 +379,7 @@ def test_huge_m_is_counted_not_listed():
 @pytest.mark.parametrize("q,ms", [(2, (1, 2, 3)), (3, (5, 6, 8))])
 def test_caches_match_direct_evaluation(q, ms):
     curve = HermitianCurve(q)
-    pts = codes.evaluation_points(curve)
+    pts = curve.points[1:]
     for m in ms:
         # saturation: the least ell at which a fresh evaluation matrix has full rank
         ref = next(ell for ell in range(200)
@@ -402,7 +404,7 @@ def test_caches_match_direct_evaluation(q, ms):
 @given(q=st.sampled_from([2, 3]), data=st.data())
 def test_syndrome_matrix_matches_cellwise(q, data):
     curve = HermitianCurve(q)
-    F, pts = curve.field, codes.evaluation_points(curve)
+    F, pts = curve.field, curve.points[1:]
     word = data.draw(st.lists(st.integers(0, F.q - 1), min_size=len(pts), max_size=len(pts)))
     L = data.draw(st.integers(0, 8))
     h = [[monomial(curve, *curve.good_basis_function(t)).evaluate(p) for p in pts]
@@ -420,14 +422,14 @@ def test_syndrome_matrix_matches_cellwise(q, data):
 
 
 def test_syndrome_of_zero_word(c2):
-    n = len(codes.evaluation_points(c2))
+    n = c2.n
     S = codes.syndrome_matrix(c2, 1, [0] * n, 3)
     assert all(v == 0 for row in S.entries for v in row)
     assert S.rank(c2.field) == 0
 
 
 def test_syndrome_weight_one_rank(c2):
-    n = len(codes.evaluation_points(c2))
+    n = c2.n
     for pos in range(n):
         word = [0] * n
         word[pos] = 1
@@ -436,7 +438,7 @@ def test_syndrome_weight_one_rank(c2):
 
 
 def test_syndrome_is_symmetric_bilinear(c2):
-    n = len(codes.evaluation_points(c2))
+    n = c2.n
     word = [1, 0, 2, 0, 3, 0, 1]
     assert len(word) == n
     S = codes.syndrome_matrix(c2, 1, word, 4)
@@ -464,6 +466,62 @@ def test_verify_prop63(c2):
     last = _layer_words(c2, 5, 1)
     assert len(last) == 3
     assert all(codes.verify_prop63(c2, 5, 1, w)["verdict"] == "PASS" for w in last)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ell=st.integers(0, 8), m=st.integers(1, 4), pick=st.integers(0, 63),
+       noise=st.one_of(st.none(), st.lists(st.integers(0, 3), min_size=7, max_size=7)))
+@example(ell=5, m=1, pick=1, noise=None)  # the last layer before the saturation index 6
+def test_layer_test_matches_the_built_codes(c2, ell, m, pick, noise):
+    """verify_prop63 refuses a word exactly when the built codes put it
+    outside C_ell^m minus C_{ell+1}^m."""
+    c_ell, c_next = codes.build_C(c2, ell, m), codes.build_C(c2, ell + 1, m)
+    words = list(itertools.islice(c_ell.codewords(), 64))
+    word = noise if noise is not None else words[pick % len(words)]
+    if c_ell.contains(word) and not c_next.contains(word):
+        assert codes.verify_prop63(c2, ell, m, word)["verdict"] == "PASS"
+    else:
+        with pytest.raises(WordNotInLayer):
+            codes.verify_prop63(c2, ell, m, word)
+
+
+_NOT_VECTORS = {
+    "row-too-short": lambda F, c, w: codes.LinearCode(F, 3, [[1, 1]]),  # was d = 3
+    "ragged-rows": lambda F, c, w: codes.LinearCode(F, 3, [[1, 1, 0], [1]]),
+    "entry-out-of-field": lambda F, c, w: codes.LinearCode(F, 3, [[1, 2, 0]]),
+    "row-not-a-sequence": lambda F, c, w: codes.LinearCode(F, 3, [1, 1, 0]),
+    "contains-short": lambda F, c, w: codes.build_C(c, 2, 1).contains(w[:-1]),
+    "contains-negative": lambda F, c, w: codes.build_C(c, 2, 1).contains(w[:-1] + [-1]),
+    "prop63-long": lambda F, c, w: codes.verify_prop63(c, 2, 1, w + [0]),  # was PASS
+    "prop63-short": lambda F, c, w: codes.verify_prop63(c, 2, 1, w[:-1]),
+    "prop63-iterator": lambda F, c, w: codes.verify_prop63(c, 2, 1, iter(w)),
+    "prop63-float": lambda F, c, w: codes.verify_prop63(c, 2, 1, w[:-1] + [1.0]),
+    "syndrome-short": lambda F, c, w: codes.syndrome_matrix(c, 1, w[:3], 3),
+    "syndrome-out-of-field": lambda F, c, w: codes.syndrome_matrix(c, 1, w[:-1] + [4], 3),
+}
+
+
+@pytest.mark.parametrize("call", list(_NOT_VECTORS.values()), ids=list(_NOT_VECTORS))
+def test_vectors_are_checked(c2, call):
+    """Each vector of F^n entering the code layer is checked: zip used to
+    truncate a word or row of another length, and an entry outside the
+    field raised IndexError."""
+    w = list(_layer_words(c2, 2, 1)[0])
+    assert codes.verify_prop63(c2, 2, 1, w)["verdict"] == "PASS"
+    with pytest.raises(NotAVector):
+        call(make_field(2, 1), c2, w)
+
+
+def test_verify_prop63_checks_the_cell_first(c2):
+    """m, then ell, as in the builds, before any basis is listed: ell = -1
+    used to list R(-1, m) and answer WordNotInLayer."""
+    w = _layer_words(c2, 2, 1)[0]
+    start = time.perf_counter()
+    with pytest.raises(NegativeEll):
+        codes.verify_prop63(c2, -1, 10**9, w)
+    with pytest.raises(MBelowLambda):
+        codes.verify_prop63(c2, -1, 0, w)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_profile_built_only_where_it_is_read(monkeypatch, capsys):

@@ -65,6 +65,20 @@ def test_generators_match_oracle(gens):
                 assert x + y in S
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 60), min_size=1, max_size=12))
+@example([6, 10, 15, 12, 20, 30])  # redundant generators
+@example([5, 7] + list(range(25, 40)))  # generators past the Schur bound 24
+def test_many_generators_match_oracle(gens):
+    """The bit-shift build against the reachability oracle on longer lists:
+    redundant generators and generators past the Schur bound change nothing."""
+    if reduce(gcd, gens) != 1:
+        with pytest.raises(NotCoprime):
+            ns_from_generators(gens)
+        return
+    assert ns_from_generators(gens).gaps == brute_gaps(gens, max(gens) ** 2)
+
+
 def test_closure_violation_detected():
     with pytest.raises(ClosureViolation):
         NumericalSemigroup(frozenset({4}))  # 2 + 2 = 4 with 2 a nongap
