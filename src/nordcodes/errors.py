@@ -48,6 +48,10 @@ class NotCoprime(NordError):
     pass
 
 
+class NegativeGenerator(NordError):
+    pass
+
+
 class ClosureViolation(NordError):
     def __init__(self, a, b, total):
         self.witness = (a, b, total)

@@ -9,7 +9,7 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import EmptyLevel, NegativeRho, TrivialModel
-from .models import NEG_INF, NWeightModel, _bounded_sample
+from .models import NWeightModel, _bounded_sample, _by_rho
 
 
 def _checked_rows(model: NWeightModel, bound: int):
@@ -51,9 +51,6 @@ class NormalizedModel(NWeightModel):
     def _weighs(self) -> bool:
         return self.base._weighs()
 
-    def _from_terms(self, terms):
-        return self.base._from_terms(terms)
-
     def basis_count(self, bound: int) -> int:
         return self.base.basis_count(bound)
 
@@ -63,7 +60,7 @@ def normalize(model: NWeightModel, bound: int) -> NormalizedModel:
     d = 0
     for f, r in zip(sample, rows.rhos):
         if f and r > rho1:
-            d = gcd(d, int(r))
+            d = gcd(d, r)
     return NormalizedModel(model, d)
 
 
@@ -72,25 +69,21 @@ def filtration_check(model: NWeightModel, bound: int) -> dict:
     sample, rows, rho1 = _checked_rows(model, bound)
     rhos = rows.rhos
     nonzero = [i for i, f in enumerate(sample) if f]
-    values = sorted({0} | {int(rhos[i]) for i in nonzero})  # level 0 is the lowest
-
-    reps = []  # per level, the sample index of its first nonzero element
-    for v in values:
-        rep = next((i for i in nonzero if rhos[i] == v), None)
-        if rep is None:  # level 0 is inserted even when no element reaches it
-            raise EmptyLevel(f"no sampled element has rho = {v}")
-        reps.append(rep)
+    by_rho = _by_rho((i, rhos[i]) for i in nonzero)  # no rho < 0: level 0 is the lowest
+    if 0 not in by_rho:
+        raise EmptyLevel("no sampled element has rho = 0")
+    values = list(by_rho)
+    reps = [group[0] for group in by_rho.values()]  # per level, its first element
 
     failures = []
     skipped = 0
 
     # one-step growth: each new level is one-dimensional over the previous:
     # exactly one lam with rho(f - lam*g) <= the previous level
-    for i in range(len(values) - 1):
-        level = [j for j, r in enumerate(rhos) if r == values[i + 1]]
+    for below, level in zip(values, list(by_rho.values())[1:]):
         for a, j in enumerate(level):
             rest = level[a + 1 :]
-            for k, lams in zip(rest, rows.lambdas(j, rest, values[i], strict=False)):
+            for k, lams in zip(rest, rows.lambdas(j, rest, below, strict=False)):
                 if len(lams) != 1:
                     failures.append(
                         {"check": "one_step_growth", "f": model.show(sample[j]),
@@ -99,12 +92,12 @@ def filtration_check(model: NWeightModel, bound: int) -> dict:
 
     # l(i, j) monotonicity and the n-weight product rule, via representatives
     max_v = values[-1]
+    level_of = {v: lv for lv, v in enumerate(values)}
 
     def levels(i, js):
-        """The level of rho(e_i * e_j) for j in js; None where it is -inf,
-        above the top level or no level."""
-        return [values.index(int(r)) if r != NEG_INF and r <= max_v and int(r) in values
-                else None for r in rows.product_rhos(i, js)]
+        """The level of rho(e_i * e_j) for j in js; None where it is no level
+        (-inf, or a value no sampled element has)."""
+        return [level_of.get(r) for r in rows.product_rhos(i, js)]
 
     ell = [levels(i, reps) for i in reps]  # ell[i][j]: the level of f_i * f_j
     n = len(values)

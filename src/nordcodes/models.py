@@ -15,9 +15,6 @@ exponents (a, b) of x^a y^b on the curve.  A model supplies the hooks:
 
 * `basis_keys(bound)`: the monomials whose span is sampled, ascending, and
   `basis_count(bound)`, their number (the curve counts them unlisted);
-* `_from_terms(terms)`: the sampled element with coefficient c on basis key
-  k for each (k, c) in `terms`: the pairs themselves, except in the ideal
-  model, whose sample spans t^0 ... t^bound in t-coordinates;
 * `monomial_product(k1, k2)`: the product of two monomials, as an element
   (the key sum for F[t] and the Laurent ring, the reduced product on the
   curve);
@@ -40,10 +37,11 @@ its own (the tests' sparse reference does); `NWeightModel.rows` refuses it
 with TypeError.
 
 All verdicts are exhaustive over a bounded, deterministically enumerated
-sample; nothing is probabilistic.  The sample comes straight from the n
-basis keys: every choice of at most R keys with nonzero coefficients,
-through `_from_terms`, sorted by `_order_key`, with R = n (the full span)
-when q^n <= `_SAMPLE_CAP` and R = 2 otherwise.  `sample_size` gives its size
+sample; nothing is probabilistic.  Every model samples its own n basis
+keys: every choice of at most R keys with nonzero coefficients, sorted by
+`_order_key`, with R = n (the full span) when q^n <= `_SAMPLE_CAP` and
+R = 2 otherwise (for the ideal, at most two adapted basis elements, not
+powers of t unless g is a monomial).  `sample_size` gives its size
 in closed form, the sum over r <= R of C(n, r) (q-1)^r.  Every checker
 refuses a negative bound and a sample above `_SAMPLE_CAP` before building it.
 Nothing here forms a sum, multiple or product of elements; the tests'
@@ -61,13 +59,13 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right
 from itertools import combinations, product, repeat
-from math import comb
+from math import comb, inf
 from operator import and_, gt, ne
 
 from .errors import CoefficientOutOfRange, GIsConstant, SampleTooLarge, require_bound
 from .field import Field
 
-NEG_INF = float("-inf")
+NEG_INF = -inf
 
 _SAMPLE_CAP = 2000
 
@@ -144,19 +142,14 @@ class NWeightModel:
 
     def elements(self, bound: int) -> list:
         """Sample: every choice of at most `_span_rank` basis keys with
-        nonzero coefficients, through `_from_terms`."""
+        nonzero coefficients."""
         keys = self.basis_keys(bound)
         units = range(1, self.field.q)
-        out = [self._from_terms(tuple(zip(chosen, coeffs)))
+        out = [tuple(zip(chosen, coeffs))
                for r in range(_span_rank(self.field.q, len(keys)) + 1)
                for chosen in combinations(keys, r)
                for coeffs in product(units, repeat=r)]
         return sorted(out, key=self._order_key)
-
-    def _from_terms(self, terms):
-        """The element with coefficient c on basis key k for (k, c) in
-        `terms`: the pairs themselves."""
-        return terms
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +232,6 @@ class IdealModel(_PolynomialAlgebra):
                 rem[k + i] = F.sub(rem[k + i], F.mul(c, gi))
         return (*((e, c) for e, c in enumerate(rem[:d]) if c),
                 *((d + k, c) for k, c in enumerate(quo) if c))
-
-    def _from_terms(self, terms):
-        # the sample spans t^0 ... t^bound: `terms` are t-coefficients
-        return self._from_t(super().show(terms))
 
     def monomial_product(self, e1: int, e2: int):
         # b_e1 * b_e2 = t^s * g^n: below d when n = 0, else t^s * g^(n-1) times g
@@ -462,6 +451,24 @@ class AxiomReport:
         return json.dumps(self.to_json(), sort_keys=True, default=str)
 
 
+def _reported(r):
+    """A rho value as reports print it: a float, unless the float would not
+    be r itself, as past 2^53 or beyond the float range."""
+    try:
+        return float(r) if float(r) == r else r
+    except OverflowError:
+        return r
+
+
+def _by_rho(pairs) -> dict:
+    """Each rho of the (index, rho) `pairs` -> its indices in the order
+    given; the rho values ascending."""
+    groups: dict = {}
+    for i, r in pairs:
+        groups.setdefault(r, []).append(i)
+    return dict(sorted(groups.items()))
+
+
 def _class_firsts(model: NWeightModel, sample) -> list[int]:
     """The sample index of the first element of each scalar class {lam*f},
     ascending.  A class is named by its member with coefficient 1 on the
@@ -483,12 +490,10 @@ def _first_violation(rrhos, prodrho, strict, weak: bool):
     rho, built once per rho level, so the scan is O(n^2).  Only the first
     failing row is walked pair by pair for its witness."""
     n = len(rrhos)
-    levels: dict[float, list[int]] = {}
-    for i, r in enumerate(rrhos):
-        levels.setdefault(r, []).append(i)
+    levels = _by_rho(enumerate(rrhos))
     above = {}  # rho level -> column minima over the rows above it
     col_min = None
-    for r in sorted(levels, reverse=True):
+    for r in reversed(levels):
         above[r] = col_min
         for i in levels[r]:
             col_min = prodrho[i] if col_min is None else list(map(min, col_min, prodrho[i]))
@@ -518,13 +523,10 @@ def axiom_check(model: NWeightModel, bound: int) -> AxiomReport:
     units = [c for c in range(1, F.q)]
     rho1 = model.rho(model.one())
     rows = model.rows(sample)
-
-    rhos = [float(r) for r in rows.rhos]
+    rhos = rows.rhos
 
     # N0: rho(f) = -inf iff f = 0
-    bad = next(
-        (f for f, r in zip(sample, rhos) if (r == NEG_INF) != (not f)), None
-    )
+    bad = next((f for f, r in zip(sample, rhos) if (r == NEG_INF) != (not f)), None)
     report.record("N0", bad is None, witness={"f": bad})
 
     # N1: scalar invariance
@@ -562,11 +564,11 @@ def axiom_check(model: NWeightModel, bound: int) -> AxiomReport:
     reps = [sample[i] for i in idx]
     rrhos = [rhos[i] for i in idx]
     nrep = len(reps)
-    prodrho = [[0.0] * nrep for _ in range(nrep)]
+    prodrho = [[None] * nrep for _ in range(nrep)]
     for a, i in enumerate(idx):
         row = prodrho[a]
         for b, r in enumerate(rows.product_rhos(i, idx[a:]), a):
-            row[b] = prodrho[b][a] = float(r)
+            row[b] = prodrho[b][a] = r
     m_mask = [r > rho1 for r in rrhos]
     nonzero_mask = [r > NEG_INF for r in rrhos]
 
@@ -580,11 +582,7 @@ def axiom_check(model: NWeightModel, bound: int) -> AxiomReport:
     # N4 (+ uniqueness of lambda) on M-pairs, O4 on all equal-rho pairs:
     # the lam with rho(f - lam*g) < rho(f) = rho(g)
     n4_witness = unique_witness = o4_witness = None
-    by_rho: dict[float, list] = {}
-    for i, r in enumerate(rhos):
-        if r > NEG_INF:
-            by_rho.setdefault(r, []).append(i)
-    for r, group in sorted(by_rho.items()):
+    for r, group in _by_rho((i, r) for i, r in enumerate(rhos) if r > NEG_INF).items():
         in_m = r > rho1
         for a, i in enumerate(group):
             rest = group[a + 1 :]
@@ -594,11 +592,11 @@ def axiom_check(model: NWeightModel, bound: int) -> AxiomReport:
                 f, g = sample[i], sample[j]
                 if in_m:
                     if not lams and n4_witness is None:
-                        n4_witness = {"f": f, "g": g, "rho": r}
+                        n4_witness = {"f": f, "g": g, "rho": _reported(r)}
                     if len(lams) > 1 and unique_witness is None:
                         unique_witness = {"f": f, "g": g, "lambdas": list(lams)}
                 if not lams and o4_witness is None:
-                    o4_witness = {"f": f, "g": g, "rho": r}
+                    o4_witness = {"f": f, "g": g, "rho": _reported(r)}
     report.record("N4", n4_witness is None, n4_witness)
     report.record("lemma_lambda_unique", unique_witness is None, unique_witness)
     report.record("O4", o4_witness is None, o4_witness)
@@ -610,23 +608,16 @@ def axiom_check(model: NWeightModel, bound: int) -> AxiomReport:
         for j in nz:
             p, s = prodrho[i][j], rrhos[i] + rrhos[j]
             if p > s or (m_mask[i] and m_mask[j] and p != s):
-                n5_witness = {"f": reps[i], "g": reps[j], "rho(fg)": p, "rho(f)+rho(g)": s}
+                n5_witness = {"f": reps[i], "g": reps[j], "rho(fg)": _reported(p),
+                              "rho(f)+rho(g)": _reported(s)}
                 break
         if n5_witness:
             break
     report.record("N5", n5_witness is None, n5_witness)
 
     # Lemma 3.12: M contains no zero divisors
-    zd_witness = next(
-        (
-            {"f": reps[i], "g": reps[j]}
-            for i in range(nrep)
-            if m_mask[i]
-            for j in nz
-            if prodrho[i][j] == NEG_INF
-        ),
-        None,
-    )
+    zd_witness = next(({"f": reps[i], "g": reps[j]} for i in range(nrep) if m_mask[i]
+                       for j in nz if prodrho[i][j] == NEG_INF), None)
     report.record("lemma_no_zero_divisors", zd_witness is None, zd_witness)
 
     # Lemma 3.11 classification: U cap sample = F  iff  O0-O4 pass

@@ -15,6 +15,7 @@ from .errors import (
     ClosureViolation,
     MalformedProfile,
     MalformedSemigroup,
+    NegativeGenerator,
     NotCoprime,
     ProfileBijectionViolation,
     SemigroupTooLarge,
@@ -136,8 +137,11 @@ class NumericalSemigroup(Value):
 
 
 def ns_from_generators(gens: list[int]) -> NumericalSemigroup:
-    """Semigroup generated by gens; requires gcd(gens) = 1."""
-    gens = sorted(set(g for g in gens if g > 0))
+    """Semigroup generated by gens; requires gens >= 0 and gcd(gens) = 1."""
+    negative = [g for g in gens if g < 0]
+    if negative:
+        raise NegativeGenerator(f"generators must be >= 0, got {negative}")
+    gens = sorted(set(gens) - {0})
     if not gens:
         raise NotCoprime("need at least one positive generator")
     g = 0

@@ -79,11 +79,8 @@ def mul(model, f, g, products=None):
 def elements(model, bound: int) -> list:
     """The sample as `models` built it by arithmetic: the full span of the
     basis monomials when it has at most 2000 elements (the sample cap), else
-    every sum of at most two of their multiples.  The monomials are the keys
-    alone, but t^0 ... t^bound divided by g in the ideal model (and a
-    normalization of it, which forwards `_from_t`)."""
-    from_t = getattr(model, "_from_t", None)
-    basis = [from_t([0] * k + [1]) if from_t else ((k, 1),) for k in model.basis_keys(bound)]
+    every sum of at most two of their multiples."""
+    basis = [((k, 1),) for k in model.basis_keys(bound)]
     q = model.field.q
     if q ** len(basis) <= 2000:
         out = [()]

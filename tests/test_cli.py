@@ -42,6 +42,13 @@ def test_semigroup_generators(capsys):
     assert NumericalSemigroup.from_json(data).genus == 3
 
 
+def test_semigroup_negative_generator(capsys):
+    # -1 used to be dropped, answering for <2, 3>; 0 generates nothing
+    assert run(capsys, "semigroup", "--generators=-1,2,3") == (
+        1, "", "error NegativeGenerator: generators must be >= 0, got [-1]\n")
+    assert run(capsys, "semigroup", "--generators", "0,2,3") == (0, '{"gaps": [1]}\n', "")
+
+
 def test_semigroup_curve(capsys):
     code, out, _ = run(capsys, "semigroup", "--curve-q", "2")
     assert code == 0
@@ -115,6 +122,15 @@ def test_bound_table_csv(hyper2_profile, tmp_path, capsys):
     assert lines[0] == "ell,m,n_set_size,d_nord,d_goppa,delta"
     assert lines[1] == "2,3,4,4,3,1"
     assert len(lines) == 4
+
+
+def test_bound_table_single_value_ranges(hyper2_profile, capsys):
+    # a range without ".." is the one value
+    ranged = run(capsys, "bound", "--profile", hyper2_profile, "--ell", "0", "--m", "2",
+                 "--table", "--ell-range", "5", "--m-range", "3")
+    plain = run(capsys, "bound", "--profile", hyper2_profile, "--ell", "5", "--m", "3",
+                "--table")
+    assert ranged == plain and plain[0] == 0 and plain[1].count("\n") == 2
 
 
 def test_bound_table_with_diagnose_is_a_usage_error(hyper2_profile, tmp_path, capsys):
@@ -203,6 +219,15 @@ def test_axioms_laurent(capsys):
     results = {e["axiom"]: e["verdict"] for e in report["results"]}
     assert results["N5"] == "PASS"
     assert "FAIL" in (results["O3"], results["O4"])
+
+
+@pytest.mark.parametrize("c", [10**400, -10**400], ids=["plus", "minus"])
+def test_axioms_constant_past_the_float_range(capsys, c):
+    # rho = c was copied to a float, which overflowed with a traceback
+    code, out, err = run(capsys, "axioms", "--model", "constant", "--p", "3", "--c", str(c),
+                         "--bound", "2")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["model"] == f"constant(c={c})"
 
 
 def test_negative_ell(hyper2_profile, capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from curve_reference import monomial
-from nordcodes import codes
+from nordcodes import bounds, codes
 from nordcodes.cli import main
 from nordcodes.errors import (MBelowLambda, NegativeEll, NotAVector, SearchTooLarge,
                               WordNotInLayer)
@@ -550,6 +550,25 @@ def test_profile_built_only_where_it_is_read(monkeypatch, capsys):
     other = HermitianCurve(2)
     codes.verify_thm61(other, 2, 1)
     assert len(builds) == 2
+
+
+def test_verify_prop63_reports_pattern_violations(c2, monkeypatch):
+    """A syndrome matrix with a nonzero entry at N-set pair (0, 1) and a zero
+    diagonal entry at (1, 1) fails both pattern checks, each with its entry."""
+    pairs = bounds.n_set(c2.profile_closed_form(), 2, 1).pairs
+    real = codes.syndrome_matrix
+
+    def broken(curve, m, word, L):
+        entries = [list(row) for row in real(curve, m, word, L).entries]
+        entries[pairs[0][0]][pairs[1][1]] = 1
+        entries[pairs[1][0]][pairs[1][1]] = 0
+        return codes.SyndromeMatrix(tuple(map(tuple, entries)))
+
+    monkeypatch.setattr(codes, "syndrome_matrix", broken)
+    rep = codes.verify_prop63(c2, 2, 1, _layer_words(c2, 2, 1)[0])
+    assert rep["verdict"] == "FAIL"
+    assert not rep["zero_pattern"] and not rep["diagonal_nonzero"]
+    assert rep["violations"] == [{"u": 0, "v": 1, "value": 1}, {"u": 1, "v": 1, "value": 0}]
 
 
 def test_verify_prop63_rank_gives_weight_bound(c2):

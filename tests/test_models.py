@@ -128,6 +128,40 @@ def test_broken_model_yields_witness():
     assert m.rho(sref.add(m, w["f"], w["g"])) > max(m.rho(w["f"]), m.rho(w["g"]))
 
 
+class LeadingCoefficient(sref.Sparse, models.ConstantModel):
+    """rho(f) is the index of the leading coefficient: lam*f changes it."""
+
+    def rho(self, f):
+        return f[-1][1] if f else NEG_INF
+
+
+def test_scalar_dependent_rho_fails_n1():
+    """The N1 witness is the first nonzero sample element and the first lam
+    that changes its rho: t, with lead 1, and lam = 2."""
+    m = LeadingCoefficient(make_field(3, 1), 0)
+    rep = models.axiom_check(m, 1)
+    assert m.elements(1)[1] == ((1, 1),)
+    assert rep.entries["N1"] == {"axiom": "N1", "verdict": "FAIL",
+                                 "witness": {"f": (0, 1), "lambda": 2}}
+
+
+@pytest.mark.parametrize("F", [F2, make_field(3, 1)], ids=["GF2", "GF3"])
+def test_constant_past_the_float_range_is_compared_exactly(F):
+    """rho = c is compared exactly: 2^53 + 1 rounds to the float 2^53, which
+    made N1 and N2 fail for a constant map, and 10^400 overflowed the float."""
+    def verdicts(c):
+        rep = models.axiom_check(models.ConstantModel(F, c), 2)
+        return rep, {a: e["verdict"] for a, e in rep.entries.items()}
+
+    want = verdicts(1)[1]
+    for c in (2**53 + 1, 10**400):
+        rep, got = verdicts(c)
+        assert got == want
+        assert rep.entries["O4"]["witness"]["rho"] == c  # the exact int, not a float
+    rep = verdicts(2**53)[0]  # exact as a float, so printed as one
+    assert '"rho": 9007199254740992.0' in rep.dumps()
+
+
 def test_report_json_shape():
     rep = models.axiom_check(models.LaurentModel(F2), 2)
     data = rep.to_json()
@@ -205,6 +239,30 @@ def test_filtration_empty_level_named():
 
     with pytest.raises(EmptyLevel, match="rho = 0"):
         filtration.filtration_check(Broken(make_field(3, 1)), 2)
+
+
+class TruncatedDegree(sref.Sparse, models.ConstantModel):
+    """t*F[t], sampled on the keys 1 ... bound, so 1 is not sampled; rho
+    by degree: 1, 1, 2, 0 for degrees 0 ... 3, and 9, no level, above."""
+
+    def basis_keys(self, bound):
+        return range(1, bound + 1)
+
+    def rho(self, f):
+        return (1, 1, 2, 0, 9, 9, 9)[f[-1][0]] if f else NEG_INF
+
+
+def test_filtration_j0_estimate_drop_and_skip():
+    """Levels 0, 1, 2 hold t^3, t and t^2; the units (rho <= rho(1) = 1) are
+    the elements of degree 1 and 3.  The j = 0 estimate is None for t^3 (its
+    products with units have degree 4 or 6, no level), 2 for t (t * t = t^2)
+    and 0 for t^2 (t^2 * t = t^3): one skip, then a drop from 2 to 0.  Of
+    the other six skips, three are l(i, j) products of degree >= 4 and three
+    are product rule pairs whose rho sum is above the top level."""
+    rep = filtration.filtration_check(TruncatedDegree(F2, 0), 3)
+    assert rep["levels"] == 3 and rep["skipped"] == 7
+    assert rep["failures"] == [{"check": "l_strict_growth", "i": 1, "j": 1, "l": (2, 0)},
+                               {"check": "l_weak_growth_j0", "i": 1, "l": (2, 0)}]
 
 
 # -- well-agreeing pair properties (curve rho with sigma) -------------------
@@ -435,7 +493,7 @@ def test_rows_match_the_algebra(case):
 def test_ideal_elements_are_in_the_basis_adapted_to_g():
     F3 = make_field(3, 1)
     m = models.IdealModel(F3, [1, 1])  # g = 1 + t: key e >= 1 is t^(e-1) * g
-    basis = [m._from_terms(((e, 1),)) for e in m.basis_keys(2)]  # t^0, t^1, t^2
+    basis = [m._from_t([0] * e + [1]) for e in range(3)]  # t^0, t^1, t^2
     assert basis == [((0, 1),), ((0, 2), (1, 1)), ((0, 1), (1, 2), (2, 1))]
     assert [m.show(f) for f in basis] == [(1,), (0, 1), (0, 0, 1)]
     assert m.rho(((0, 2), (1, 1))) == 1  # t

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from nordcodes.errors import (
     ClosureViolation,
+    NegativeGenerator,
     NotCoprime,
     ProfileBijectionViolation,
     SemigroupTooLarge,
@@ -39,6 +40,16 @@ def test_from_generators_examples():
     assert ns_from_generators([1]).gaps == frozenset()
     with pytest.raises(NotCoprime):
         ns_from_generators([4, 6])
+
+
+def test_negative_generator_refused():
+    """A monoid holding -1 is no numerical semigroup: -1 is refused, where it
+    used to be dropped silently; 0 generates nothing and is kept."""
+    with pytest.raises(NegativeGenerator, match=r"^generators must be >= 0, got \[-1\]$"):
+        ns_from_generators([-1, 2, 3])
+    with pytest.raises(NegativeGenerator):  # before the Schur bound of <100000, 100001>
+        ns_from_generators([100000, 100001, -5])
+    assert ns_from_generators([0, 2, 3]).gaps == {1}
 
 
 def test_queries():
