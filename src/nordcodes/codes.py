@@ -29,29 +29,19 @@ from .hermitian import HermitianCurve
 from .value import Value
 
 _BRUTE_FORCE_CAP = 1 << 24
-_BLOCK = 1 << 10  # most codewords held at once by an enumeration
 
 
 def _span(field: Field, rows, start):
     """start + sum c_i rows[i] for every c in GF(q)^len(rows), c in
-    lexicographic order, as fresh lists.  The combinations of the last t
-    rows, q^t <= _BLOCK, are built once as a block; each message of the
-    leading rows then adds its own combination to every block word."""
-    q, n = field.q, len(start)
-    t = 0
-    while t < len(rows) and q ** (t + 1) <= _BLOCK:
-        t += 1
-    head, tail = rows[: len(rows) - t], rows[len(rows) - t :]
-    block = [[0] * n]
-    for row in tail:
-        block = [field.add_scaled_row(w, c, row) for w in block for c in range(q)]
-    for msg in itertools.product(range(q), repeat=len(head)):
-        base = start
-        for c, row in zip(msg, head):
-            if c:
-                base = field.add_scaled_row(base, c, row)
-        for w in block:
-            yield field.add_scaled_row(base, 1, w)
+    lexicographic order: each word from rows[:-1], then its sums with c rows[-1]
+    for c = 1 .. q - 1.  A word is start or a new list; callers only read it."""
+    if not rows:
+        yield start
+        return
+    for word in _span(field, rows[:-1], start):
+        yield word
+        for c in range(1, field.q):
+            yield field.add_scaled_row(word, c, rows[-1])
 
 
 def _vector(field: Field, n: int, word) -> tuple[int, ...]:
@@ -112,8 +102,8 @@ class LinearCode(Value):
 # curve codes
 
 
-def evaluation_matrix(curve: HermitianCurve, ell: int, m: int) -> list[list[int]]:
-    return [list(curve.image(key)) for key in curve.riemann_roch_basis(ell, m)]
+def evaluation_matrix(curve: HermitianCurve, ell: int, m: int) -> list[tuple[int, ...]]:
+    return [curve.image(key) for key in curve.riemann_roch_basis(ell, m)]
 
 
 def dimension(curve: HermitianCurve, ell: int, m: int) -> int:
@@ -173,7 +163,7 @@ class SyndromeMatrix(Value):
     _fields = ("entries",)  # (L+1) x (L+1) field indices
 
     def rank(self, field: Field) -> int:
-        return linalg.rank([list(r) for r in self.entries], field)
+        return linalg.rank(self.entries, field)
 
 
 def syndrome_matrix(curve: HermitianCurve, m: int, word, L: int) -> SyndromeMatrix:
@@ -272,6 +262,5 @@ def verify(curve: HermitianCurve, ell: int, m: int) -> dict:
 def code_to_json(curve: HermitianCurve, ell: int, m: int) -> str:
     code, dual = build_E(curve, ell, m), build_C(curve, ell, m)
     payload = {"q": curve.q, "ell": ell, "m": m, "n": code.n, "k": code.k,
-               "generator": [list(r) for r in code.generator],
-               "parity_check": [list(r) for r in dual.generator]}
+               "generator": code.generator, "parity_check": dual.generator}
     return json.dumps(payload, sort_keys=True)

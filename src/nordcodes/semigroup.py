@@ -186,9 +186,9 @@ class TwoPointSemigroup(Value):
                 f"the closure check would walk {cells} cells below the gap pairs, "
                 f"above the cap {MAX_CLOSURE_CELLS}"
             )
-        # x fails exactly when g - x does, so the lexicographically first failing
-        # x has x <= g - x; x = (0, 0) and x = g never fail: g is a gap, (0, 0) not.
-        for ga, gb in self.gapset:
+        # Least gap first; x fails exactly when g - x does, so the lexicographically
+        # first failing x has x <= g - x; x = (0, 0) and x = g never fail: g is a gap.
+        for ga, gb in sorted(self.gapset):
             for xa in range(ga // 2 + 1):
                 for xb in range(gb + 1 if 2 * xa < ga else gb // 2 + 1):
                     if (xa, xb) not in self.gapset and (ga - xa, gb - xb) not in self.gapset:

@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 import time
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -471,6 +472,15 @@ def test_negative_gap_pair_refused(tmp_path, capsys, argv):
     code, out, err = run(capsys, *argv, str(path))
     assert (code, out) == (1, "")
     assert err == "error ZeroExcludedViolation: gap pairs must be nonnegative\n"
+
+
+@pytest.mark.parametrize("argv", [("semigroup", "--from-file"), ("profile", "--semigroup")])
+def test_closure_violation_does_not_depend_on_the_listing(tmp_path, capsys, argv):
+    path = tmp_path / "sg.json"
+    for listing in permutations([[0, 3], [3, 0], [0, 1], [2, 2]]):
+        path.write_text(json.dumps({"gaps": listing}))
+        assert run(capsys, *argv, str(path)) == (1, "", "error ClosureViolation: (0, 2) + (2, 0) "
+                                                  "= (2, 2) is a gap but both summands are nongaps\n")
 
 
 def _child_env():

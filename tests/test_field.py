@@ -36,8 +36,9 @@ def test_enumerate():
 
 
 def test_validation_errors():
-    with pytest.raises(NotPrime):
-        Field(4, 1)
+    for p in (4, 1, 0, -3):
+        with pytest.raises(NotPrime):
+            Field(p, 1)
     for p, k in ((2, 9), (257, 1), (2, 17)):
         with pytest.raises(FieldTooLarge):
             Field(p, k)

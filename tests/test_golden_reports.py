@@ -272,6 +272,8 @@ CODE_CELLS = [(2, 0, 1), (2, 2, 1), (2, 6, 3), (3, 20, 5), (3, 23, 5), (3, 24, 5
 CODE_CASES = [f"code {action} --q {q} --ell {ell} --m {m}"
               for q, ell, m in CODE_CELLS for action in ("build", "distance")
               if (action, q, ell) != ("distance", 4, 20)]  # 16^37 messages
+# deeper spans at q = 3: k(C) = 5 and 6, d = 19 and 18 >= d_nord = 17 and 16
+CODE_CASES += ["code distance --q 3 --ell 18 --m 5", "code distance --q 3 --ell 17 --m 5"]
 
 
 def code_digest(argv):
@@ -299,6 +301,8 @@ CODE_GOLDEN = {
     'code distance --q 4 --ell 55 --m 11': '29a34ad285052d7a1fa61d67ff8150c4f536925850a09a6d2b8d2a8f8a5497ec',
     'code build --q 4 --ell 11 --m 60': 'b454854fc2726ae2971ecaf7ef4f80de1a20212801c1ff712de5a4b1ca052ea0',
     'code distance --q 4 --ell 11 --m 60': '81b7135143777c4263b19aa6ae7a0e74d3588254af1f80e8978a573334a86f01',
+    'code distance --q 3 --ell 18 --m 5': 'ad4356c996c2696ce8869bd736e88b02ea67fed55c102d6999a8be8f57049dff',
+    'code distance --q 3 --ell 17 --m 5': 'a2dc5a84dbdb066176561c90b9a2fc56d654119e9a47ed41c2ac97fd080805aa',
 }
 
 

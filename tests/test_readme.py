@@ -1,6 +1,7 @@
 """README's quick start, run as written: each python expression whose
-comment starts with a Python literal must equal that literal, and the
-first two CLI lines must print the output README gives."""
+comment starts with a Python literal must equal that literal, and every
+CLI line must exit 0, print the output a comment below it gives, and write
+the files it names."""
 
 import ast
 import io
@@ -9,6 +10,7 @@ import shlex
 import tokenize
 from pathlib import Path
 
+from nordcodes import bounds
 from nordcodes.cli import main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -49,9 +51,17 @@ def test_python_quick_start():
 
 def test_cli_quick_start(tmp_path, monkeypatch, capsys):
     block = next(b for b in _blocks("sh") if b.startswith("nordcodes "))
-    first, second, expected = block.splitlines()[:3]
+    lines = block.replace("\\\n", " ").splitlines()
     monkeypatch.chdir(tmp_path)
-    assert main(shlex.split(first)[1:]) == 0
-    capsys.readouterr()
-    assert main(shlex.split(second)[1:]) == 0
-    assert "# " + capsys.readouterr().out == expected + "\n" == "# d_nord=4 d_goppa=3 delta=1\n"
+    ran, out = [], None
+    for line in lines:
+        if line.startswith("# "):
+            assert "# " + out == line + "\n", line
+            continue
+        assert main(shlex.split(line)[1:]) == 0, line
+        out = capsys.readouterr().out
+        ran.append(line.split()[1])
+    assert ran == ["profile", "bound", "bound", "curve", "code", "axioms"]
+    assert "# d_nord=4 d_goppa=3 delta=1" in lines
+    header = ",".join(bounds.CSV_HEADER) + "\n"
+    assert (tmp_path / "table.csv").read_text().startswith(header)

@@ -1,5 +1,6 @@
 import time
 from functools import reduce
+from itertools import permutations
 from math import gcd
 
 import pytest
@@ -187,9 +188,9 @@ def test_tps_examples():
 
 def full_walk_witness(gapset):
     """The first failing decomposition of the walk over every cell of the box
-    below each gap, in the set's own order: the reference for the half walk
+    below each gap, gaps in sorted order: the reference for the half walk
     of `TwoPointSemigroup`."""
-    for ga, gb in gapset:
+    for ga, gb in sorted(gapset):
         for xa in range(ga + 1):
             for xb in range(gb + 1):
                 if (xa, xb) == (0, 0) or (xa, xb) == (ga, gb):
@@ -227,6 +228,17 @@ def test_closure_witness_matches_the_full_walk(gapset):
         assert exc.witness == expected
     else:
         assert expected is None
+
+
+def test_closure_witness_does_not_depend_on_the_listing():
+    # (2, 2) and (3, 0) both fail; the least failing gap is the one reported
+    witnesses = set()
+    for listing in permutations([[0, 3], [3, 0], [0, 1], [2, 2]]):
+        with pytest.raises(ClosureViolation) as exc:
+            TwoPointSemigroup.from_json({"gaps": list(listing)})
+        witnesses.add((exc.value.witness, str(exc.value)))
+    assert witnesses == {(((0, 2), (2, 0), (2, 2)),
+                          "(0, 2) + (2, 0) = (2, 2) is a gap but both summands are nongaps")}
 
 
 def test_tps_contains():
